@@ -1,4 +1,5 @@
-// Ablations of the design choices DESIGN.md calls out.
+// Ablations of the reproduction's modeling and protocol choices
+// (docs/architecture.md; (e) is §9 there).
 //
 // Not a paper figure — quantifies how the reproduction's knobs shape the
 // headline results:

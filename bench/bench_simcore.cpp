@@ -3,7 +3,7 @@
 //
 // Unlike every other bench binary, this one measures HOST time, not
 // simulated time: it tracks how fast the discrete-event engine executes
-// (events/sec through the indexed 4-ary heap + InlineFn callbacks) and how
+// (events/sec through the serial radix queue + InlineFn callbacks) and how
 // fast the NoC+DTU stack moves messages (messages/sec including pooled
 // body allocation, tag dispatch and per-link reservation). Every figure
 // sweep is bounded by these two rates, so regressions here show up as
@@ -12,10 +12,15 @@
 //
 // Compare runs with:  tools/bench_compare.py OLD NEW --wallclock
 // (generous tolerance; host timing is noisy where simulated time is not).
+// With --benchmark_repetitions=N every benchmark also reports `_min` and
+// `_max` aggregates: the min-of-N time is in the `_min` row, the best rate
+// counter in the `_max` row.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <vector>
 
 #include "dtu/dtu.h"
 #include "dtu/msg_pool.h"
@@ -111,8 +116,17 @@ void BM_MessageDelivery(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(total), benchmark::Counter::kIsRate);
 }
 
-BENCHMARK(BM_EventChurn)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MessageDelivery)->Unit(benchmark::kMillisecond);
+double MinOf(const std::vector<double>& v) { return *std::min_element(v.begin(), v.end()); }
+double MaxOf(const std::vector<double>& v) { return *std::max_element(v.begin(), v.end()); }
+
+BENCHMARK(BM_EventChurn)
+    ->Unit(benchmark::kMillisecond)
+    ->ComputeStatistics("min", MinOf)
+    ->ComputeStatistics("max", MaxOf);
+BENCHMARK(BM_MessageDelivery)
+    ->Unit(benchmark::kMillisecond)
+    ->ComputeStatistics("min", MinOf)
+    ->ComputeStatistics("max", MaxOf);
 
 // Thread-scaling sweep: the 1024-instance/64-kernel PostMark scale point
 // (1153 PEs, full fidelity — the workload that saturates one host core on
@@ -165,7 +179,9 @@ void BM_ScalePointPostmark1024Threads(benchmark::State& state) {
 BENCHMARK(BM_ScalePointPostmark1024Threads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->ComputeStatistics("min", MinOf)
+    ->ComputeStatistics("max", MaxOf);
 
 }  // namespace
 }  // namespace semperos

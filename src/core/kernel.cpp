@@ -159,13 +159,13 @@ void Kernel::ReleaseThread() {
   stats_.threads_in_use--;
 }
 
-void Kernel::Finish(Cycles cost, InlineFn effects) {
+void Kernel::Finish(Cycles cost, InlineFn&& effects) {
   pe_->exec().Post(cost, std::move(effects));
 }
 
 Cycles Kernel::Charge(Cycles cost) { return pe_->exec().Occupy(cost); }
 
-void Kernel::Emit(Cycles ready, InlineFn send) {
+void Kernel::Emit(Cycles ready, InlineFn&& send) {
   egress_.push_back(EgressMsg{ready, std::move(send)});
   DrainEgress();
 }

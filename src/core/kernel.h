@@ -646,7 +646,7 @@ class Kernel : public Program {
   void ReplySyscall(SyscallCtx ctx, ErrCode err, CapSel sel = kInvalidSel,
                     const CapPayload& payload = {}, MsgRef opaque = nullptr);
   // Charges `cost` on the kernel core, then runs `effects` (sends replies).
-  void Finish(Cycles cost, InlineFn effects);
+  void Finish(Cycles cost, InlineFn&& effects);
   // Charges `cost` and returns the completion time (for Emit below).
   Cycles Charge(Cycles cost);
 
@@ -658,7 +658,7 @@ class Kernel : public Program {
   // revocation's REVOKE_REQ for that child), every kernel-to-kernel message
   // is enqueued here at mutation time and released strictly in that order,
   // each no earlier than its `ready` (charge-completion) time.
-  void Emit(Cycles ready, InlineFn send);
+  void Emit(Cycles ready, InlineFn&& send);
   void DrainEgress();
 
   // Thread-pool accounting (Eq. 1). CHECK-fails if the statically sized

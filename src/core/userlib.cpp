@@ -17,7 +17,9 @@ void UserEnv::SetupEps(bool is_service) {
   if (is_service) {
     // Slot count models the aggregate of per-send-gate credit carving: every
     // client holds one credit, so the total in-flight requests equal the
-    // number of clients (see DESIGN.md).
+    // number of clients. Credits, not the buffer, bound the requests in
+    // flight, so one buffer larger than any client count stands in for the
+    // per-gate slices.
     dtu.ConfigureRecv(user_ep::kServiceRecv, 4096,
                       [this](EpId, const Message& msg) { OnRequest(msg); });
   }
@@ -325,12 +327,12 @@ void UserEnv::ReplyRequest(const Message& msg, MsgRef body) {
 // Memory access
 // ---------------------------------------------------------------------------
 
-void UserEnv::ReadMem(EpId ep, uint64_t offset, uint64_t bytes, InlineFn done) {
+void UserEnv::ReadMem(EpId ep, uint64_t offset, uint64_t bytes, InlineFn&& done) {
   Status st = pe_->dtu().Read(ep, offset, bytes, std::move(done));
   CHECK(st.ok()) << "mem read failed: " << st.name();
 }
 
-void UserEnv::WriteMem(EpId ep, uint64_t offset, uint64_t bytes, InlineFn done) {
+void UserEnv::WriteMem(EpId ep, uint64_t offset, uint64_t bytes, InlineFn&& done) {
   Status st = pe_->dtu().Write(ep, offset, bytes, std::move(done));
   CHECK(st.ok()) << "mem write failed: " << st.name();
 }

@@ -71,11 +71,11 @@ class UserEnv {
   void ReplyRequest(const Message& msg, MsgRef body);
 
   // ---- Remote memory through an activated memory endpoint ----
-  void ReadMem(EpId ep, uint64_t offset, uint64_t bytes, InlineFn done);
-  void WriteMem(EpId ep, uint64_t offset, uint64_t bytes, InlineFn done);
+  void ReadMem(EpId ep, uint64_t offset, uint64_t bytes, InlineFn&& done);
+  void WriteMem(EpId ep, uint64_t offset, uint64_t bytes, InlineFn&& done);
 
   // Occupies this PE's core for `cost` cycles (compute phases).
-  void Compute(Cycles cost, InlineFn then) { pe_->Compute(cost, std::move(then)); }
+  void Compute(Cycles cost, InlineFn&& then) { pe_->Compute(cost, std::move(then)); }
 
   // ---- Observability (src/obs) ----
   // Joins subsequently issued syscalls to an enclosing trace — a service

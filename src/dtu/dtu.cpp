@@ -361,7 +361,7 @@ void Dtu::ReturnCredit(EpId send_ep) {
 }
 
 Status Dtu::MemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool write,
-                      InlineFn done) {
+                      InlineFn&& done) {
   CHECK_LT(mem_ep, kNumEps);
   if (dead_) {
     stats_.msgs_lost_dead++;
@@ -395,11 +395,11 @@ Status Dtu::MemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool write,
   return Status::Ok();
 }
 
-Status Dtu::Read(EpId mem_ep, uint64_t offset, uint64_t bytes, InlineFn done) {
+Status Dtu::Read(EpId mem_ep, uint64_t offset, uint64_t bytes, InlineFn&& done) {
   return MemAccess(mem_ep, offset, bytes, /*write=*/false, std::move(done));
 }
 
-Status Dtu::Write(EpId mem_ep, uint64_t offset, uint64_t bytes, InlineFn done) {
+Status Dtu::Write(EpId mem_ep, uint64_t offset, uint64_t bytes, InlineFn&& done) {
   return MemAccess(mem_ep, offset, bytes, /*write=*/true, std::move(done));
 }
 

@@ -148,10 +148,12 @@ class Dtu {
   Status SendDeferredReply(const Message& msg, MsgRef body);
 
   // Remote memory access through a memory endpoint. Timing only — data is
-  // not moved. Deliberately uncontended (paper §5.3.1 excludes memory
-  // contention; see DESIGN.md §2). `done` fires on completion.
-  Status Read(EpId mem_ep, uint64_t offset, uint64_t bytes, InlineFn done);
-  Status Write(EpId mem_ep, uint64_t offset, uint64_t bytes, InlineFn done);
+  // not moved. Deliberately uncontended: the paper's methodology (§5.3.1)
+  // excludes memory contention, so an access costs the unloaded NoC
+  // latency both ways plus a fixed memory latency. `done` fires on
+  // completion.
+  Status Read(EpId mem_ep, uint64_t offset, uint64_t bytes, InlineFn&& done);
+  Status Write(EpId mem_ep, uint64_t offset, uint64_t bytes, InlineFn&& done);
 
   // Introspection for tests.
   uint32_t Credits(EpId ep) const;
@@ -191,7 +193,7 @@ class Dtu {
   void StampTrace(Message& msg) const;
   void RecordTransit(const Message& msg);
 
-  Status MemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool write, InlineFn done);
+  Status MemAccess(EpId mem_ep, uint64_t offset, uint64_t bytes, bool write, InlineFn&& done);
 
   Simulation* sim_;
   DtuFabric* fabric_;

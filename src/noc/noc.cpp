@@ -127,7 +127,7 @@ Cycles Noc::RouteAndReserve(NodeId src, NodeId dst, uint32_t bytes, Cycles now, 
   return t;
 }
 
-Cycles Noc::Send(NodeId src, NodeId dst, uint32_t bytes, InlineFn deliver) {
+Cycles Noc::Send(NodeId src, NodeId dst, uint32_t bytes, InlineFn&& deliver) {
   CHECK_LT(src, NodeCount());
   CHECK_LT(dst, NodeCount());
   if (engine_ != nullptr && ShardContext::current != nullptr && src != dst) {
@@ -151,7 +151,7 @@ Cycles Noc::Send(NodeId src, NodeId dst, uint32_t bytes, InlineFn deliver) {
 }
 
 void Noc::ApplyDeferredSend(NodeId src, NodeId dst, uint32_t bytes, Cycles now, Cycles not_before,
-                            InlineFn deliver) {
+                            InlineFn&& deliver) {
   Cycles t = RouteAndReserve(src, dst, bytes, now, &stats_slots_.back());
   CHECK_GE(t, not_before) << "deferred delivery violates the NoC lookahead window (src=" << src
                           << " dst=" << dst << ")";

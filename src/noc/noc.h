@@ -79,7 +79,7 @@ class Noc {
   // Returns the delivery time — except for cross-node sends recorded inside
   // a parallel window, whose delivery time is only computed at the barrier
   // (returns 0; no caller on the parallel path consumes the return value).
-  Cycles Send(NodeId src, NodeId dst, uint32_t bytes, InlineFn deliver);
+  Cycles Send(NodeId src, NodeId dst, uint32_t bytes, InlineFn&& deliver);
 
   // Barrier-side replay of a deferred send at its original send time, in
   // deterministic merged order. Engine-exclusive context only. `not_before`
@@ -87,7 +87,7 @@ class Noc {
   // target a cycle some shard has already executed past, so it CHECK-fails
   // loudly instead of corrupting the model.
   void ApplyDeferredSend(NodeId src, NodeId dst, uint32_t bytes, Cycles now, Cycles not_before,
-                         InlineFn deliver);
+                         InlineFn&& deliver);
 
   // Latency a packet would see on an unloaded network (for calibration).
   Cycles UnloadedLatency(NodeId src, NodeId dst, uint32_t bytes) const;

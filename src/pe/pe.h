@@ -89,7 +89,7 @@ class ProcessingElement {
   }
 
   // Occupies the core for `cost` cycles, then runs `then`.
-  void Compute(Cycles cost, InlineFn then) { exec_.Post(cost, std::move(then)); }
+  void Compute(Cycles cost, InlineFn&& then) { exec_.Post(cost, std::move(then)); }
 
   // Observability (src/obs): the platform attaches one shared Tracer to
   // every PE; programs (kernel, user env, services, load generators) reach

@@ -129,7 +129,7 @@ void ParallelEngine::StartWindow(Cycles until) {
   in_window_.store(false, std::memory_order_relaxed);
 }
 
-void ParallelEngine::RecordCrossSchedule(Simulation* target, Cycles when, InlineFn fn) {
+void ParallelEngine::RecordCrossSchedule(Simulation* target, Cycles when, InlineFn&& fn) {
   CHECK(ShardContext::current != nullptr) << "cross-shard schedule outside a window";
   Outbox& box = outboxes_[ShardContext::current->shard_index()];
   CrossRecord rec;
@@ -144,7 +144,8 @@ void ParallelEngine::RecordCrossSchedule(Simulation* target, Cycles when, Inline
   box.records.push_back(std::move(rec));
 }
 
-void ParallelEngine::RecordSend(NodeId src, NodeId dst, uint32_t bytes, InlineFn deliver) {
+void ParallelEngine::RecordSend(NodeId src, NodeId dst, uint32_t bytes,
+                                InlineFn&& deliver) {
   CHECK(ShardContext::current != nullptr) << "deferred NoC send outside a window";
   Outbox& box = outboxes_[ShardContext::current->shard_index()];
   CrossRecord rec;

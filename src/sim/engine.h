@@ -163,10 +163,10 @@ class ParallelEngine {
   bool InWindow() const { return in_window_.load(std::memory_order_relaxed); }
 
   // Appends a cross-shard schedule record to the current thread's outbox.
-  void RecordCrossSchedule(Simulation* target, Cycles when, InlineFn fn);
+  void RecordCrossSchedule(Simulation* target, Cycles when, InlineFn&& fn);
 
   // Appends a deferred NoC send to the current thread's outbox.
-  void RecordSend(NodeId src, NodeId dst, uint32_t bytes, InlineFn deliver);
+  void RecordSend(NodeId src, NodeId dst, uint32_t bytes, InlineFn&& deliver);
 
   // Next lineage anchor for an engine-exclusive insertion (boot, driver
   // events, barrier-applied records). Single-threaded contexts only; the
@@ -274,7 +274,7 @@ class SimHost {
     return ShardContext::current != nullptr ? ShardContext::current->Now() : engine_->Now();
   }
 
-  void ScheduleAt(Cycles when, InlineFn fn) {
+  void ScheduleAt(Cycles when, InlineFn&& fn) {
     if (engine_ == nullptr) {
       legacy_.ScheduleAt(when, std::move(fn));
     } else if (ShardContext::current != nullptr) {
@@ -284,7 +284,7 @@ class SimHost {
     }
   }
 
-  void Schedule(Cycles delay, InlineFn fn) { ScheduleAt(Now() + delay, std::move(fn)); }
+  void Schedule(Cycles delay, InlineFn&& fn) { ScheduleAt(Now() + delay, std::move(fn)); }
 
   uint64_t RunUntilIdle(uint64_t max_events = UINT64_MAX) {
     return engine_ == nullptr ? legacy_.RunUntilIdle(max_events)

@@ -24,7 +24,7 @@ class Executor {
 
   // Runs `fn` after occupying the core for `cost` cycles (queueing behind any
   // work already posted). Returns the completion time.
-  Cycles Post(Cycles cost, InlineFn fn) {
+  Cycles Post(Cycles cost, InlineFn&& fn) {
     Cycles start = busy_until_ > sim_->Now() ? busy_until_ : sim_->Now();
     Cycles finish = start + cost;
     busy_until_ = finish;

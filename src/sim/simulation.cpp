@@ -8,7 +8,7 @@ namespace semperos {
 
 thread_local Simulation* ShardContext::current = nullptr;
 
-void Simulation::CrossScheduleAt(Cycles when, InlineFn fn) {
+void Simulation::CrossScheduleAt(Cycles when, InlineFn&& fn) {
   engine_->RecordCrossSchedule(this, when, std::move(fn));
 }
 
@@ -39,18 +39,9 @@ void Simulation::ParallelPush(Cycles when, uint32_t slot) {
 
 uint64_t Simulation::RunWindow(Cycles until) {
   uint64_t ran = 0;
-  while (!NowFifoEmpty() || (!heap_.empty() && heap_.front().when < until)) {
-    Cycles when;
-    Cycles icycle;
-    uint64_t anchor;
-    uint32_t depth;
-    uint32_t slot = PopSlot(&when, &icycle, &anchor, &depth);
-    CHECK_GE(when, now_) << "event inserted into the shard's past";
-    now_ = when;
-    current_icycle_ = icycle;
-    current_anchor_ = anchor;
-    current_depth_ = depth;
-    RunSlot(slot);
+  while (!heap_.empty() && heap_.front().when < until) {
+    CHECK_GE(heap_.front().when, now_) << "event inserted into the shard's past";
+    RunEntry();
     ++ran;
   }
   events_run_ += ran;
@@ -105,19 +96,19 @@ Simulation::Entry Simulation::PopEntry() {
 
 uint64_t Simulation::RunUntilIdle(uint64_t max_events) {
   uint64_t ran = 0;
-  while (!Idle() && ran < max_events) {
-    Cycles when;
-    Cycles icycle;
-    uint64_t anchor;
-    uint32_t depth;
-    uint32_t slot = PopSlot(&when, &icycle, &anchor, &depth);
-    CHECK_GE(when, now_);
-    now_ = when;
-    current_icycle_ = icycle;
-    current_anchor_ = anchor;
-    current_depth_ = depth;
-    RunSlot(slot);
-    ++ran;
+  if (engine_ == nullptr) {
+    RadixQueue::Item item;
+    while (ran < max_events && queue_.PopIfAtMost(UINT64_MAX, &item)) {
+      now_ = item.when;
+      RunSlot(item.slot);
+      ++ran;
+    }
+  } else {
+    while (!heap_.empty() && ran < max_events) {
+      CHECK_GE(heap_.front().when, now_);
+      RunEntry();
+      ++ran;
+    }
   }
   if (Idle() && now_ < horizon_) {
     // Trailing charge-only work (NoteTime) extends past the last event;
@@ -130,22 +121,23 @@ uint64_t Simulation::RunUntilIdle(uint64_t max_events) {
 
 uint64_t Simulation::RunUntil(Cycles until, uint64_t max_events) {
   uint64_t ran = 0;
-  while (((!NowFifoEmpty() && now_ <= until) ||
-          (!heap_.empty() && heap_.front().when <= until)) &&
-         ran < max_events) {
-    Cycles when;
-    Cycles icycle;
-    uint64_t anchor;
-    uint32_t depth;
-    uint32_t slot = PopSlot(&when, &icycle, &anchor, &depth);
-    now_ = when;
-    current_icycle_ = icycle;
-    current_anchor_ = anchor;
-    current_depth_ = depth;
-    RunSlot(slot);
-    ++ran;
+  if (engine_ == nullptr) {
+    RadixQueue::Item item;
+    while (ran < max_events && queue_.PopIfAtMost(until, &item)) {
+      now_ = item.when;
+      RunSlot(item.slot);
+      ++ran;
+    }
+  } else {
+    while (ran < max_events && !heap_.empty() && heap_.front().when <= until) {
+      RunEntry();
+      ++ran;
+    }
   }
-  if (now_ < until) {
+  // Land on `until` only when nothing at or before it is left: a run cut
+  // short by the event budget stays on its last event, so resuming never
+  // moves the clock backwards.
+  if (now_ < until && NextEventWhen() > until) {
     now_ = until;
   }
   events_run_ += ran;

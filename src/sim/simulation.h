@@ -1,26 +1,33 @@
 // Discrete-event simulation engine.
 //
 // This is the substrate that replaces the paper's gem5 full-system simulation
-// (see DESIGN.md §2). Time is a 64-bit cycle counter; events are closures
-// ordered by (time, insertion sequence) so that runs are fully deterministic.
+// (docs/architecture.md, "Execution substrate"). Time is a 64-bit cycle
+// counter; events are closures ordered by (time, insertion order) so that
+// runs are fully deterministic.
 //
 // The engine is built for wall-clock throughput, because every benchmark
 // sweep pays its cost on every event (see docs/benchmarks.md, "Wall-clock vs
-// modeled cycles"): events hold small-buffer-optimized callbacks (InlineFn —
-// no allocation for typical captures) that live in a recycled slab, and the
-// ordering structure is an indexed 4-ary min-heap of 24-byte (when, seq,
-// slot) entries over a flat vector. Sift operations therefore move three
-// words per level instead of a closure, a 4-ary heap halves the tree depth
-// of a binary one, and popping moves the root out directly — none of the
-// const_cast gymnastics std::priority_queue::top() forces on move-only
-// elements, and no allocation anywhere in steady state. (A per-cycle timing
-// wheel was measured against this heap and lost: one vector per cycle slot
-// scatters the pending set over too many cold cache lines.)
+// modeled cycles"). Events hold small-buffer-optimized callbacks (InlineFn —
+// no allocation for typical captures) that live in a recycled slab; callers
+// pass them by rvalue reference, so a closure is constructed once and moved
+// once, into its slot. The queue itself holds only (when, slot) pairs, and
+// which structure orders them depends on the engine:
+//
+//  * Serial engine (engine_ == nullptr): a monotone radix queue — a radix
+//    heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990) whose buckets are FIFOs
+//    of 16-byte entries. Its pop order is exactly (when, insertion order),
+//    with no per-event sequence number and no comparisons; see RadixQueue.
+//  * Sharded engine (sim/engine.h): an indexed 4-ary min-heap of 40-byte
+//    entries carrying the engine's serial-order key (see Entry). That key
+//    reproduces the serial order across shards but is not FIFO-compatible,
+//    so the shards keep the heap.
 #ifndef SEMPEROS_SIM_SIMULATION_H_
 #define SEMPEROS_SIM_SIMULATION_H_
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <vector>
 
 #include "base/log.h"
@@ -40,6 +47,119 @@ struct ShardContext {
   static thread_local Simulation* current;
 };
 
+// The serial engine's event queue: a monotone radix queue of (when, slot)
+// entries. It relies on the simulator's monotonicity — nothing is ever
+// inserted before the last popped time `base_` — and keeps 65 FIFO buckets:
+// an entry goes into bucket bit_width(when ^ base_), so bucket 0 holds
+// exactly the events at base_, and bucket k (k >= 1) those whose highest bit
+// differing from base_ is bit k-1. Pop takes the front of bucket 0; when
+// bucket 0 is empty, it finds the lowest non-empty bucket, moves base_ to
+// that bucket's minimum `when`, and re-buckets its entries in order — every
+// one lands in a lower bucket, and entries with other times in higher
+// buckets stay correctly placed, because the new base_ agrees with the old
+// one on all bits above the refilled bucket's.
+//
+// Order. Entries with equal `when` always share a bucket. Pushes append,
+// and a refill appends in order into buckets that are all empty (the
+// refilled bucket was the lowest non-empty one), so by induction every
+// bucket holds its equal-time entries in insertion order. Bucket 0 is
+// popped front to back, so the pop order is exactly (when, insertion
+// order), with no sequence number and no key comparison. Each entry is
+// re-bucketed at most 64 times, since its bucket index strictly falls.
+class RadixQueue {
+ public:
+  struct Item {
+    Cycles when;
+    uint32_t slot;
+  };
+
+  bool empty() const { return buckets_[0].empty() && occupied_ == 0; }
+
+  void Push(Cycles when, uint32_t slot) {
+    CHECK_GE(when, base_) << "event scheduled before the queue's last pop";
+    unsigned b = static_cast<unsigned>(std::bit_width(when ^ base_));
+    buckets_[b].push_back(Item{when, slot});
+    occupied_ |= Bit(b);
+  }
+
+  // Earliest pending time, or UINT64_MAX when empty. Does not move base_.
+  Cycles MinWhen() const {
+    if (!buckets_[0].empty()) {
+      return base_;
+    }
+    return occupied_ == 0 ? UINT64_MAX : BucketMin(buckets_[LowestOccupied()]);
+  }
+
+  // Pops the earliest entry into *item if its time is <= until; otherwise
+  // leaves the queue — base_ included — untouched and returns false. A
+  // bounded run (Simulation::RunUntil) must not move base_ past `until`:
+  // a later insertion between `until` and the next event would then land
+  // before base_.
+  bool PopIfAtMost(Cycles until, Item* item) {
+    if (buckets_[0].empty()) {
+      if (occupied_ == 0) {
+        return false;
+      }
+      unsigned b = LowestOccupied();
+      Cycles min = BucketMin(buckets_[b]);
+      if (min > until) {
+        return false;
+      }
+      Refill(b, min);
+    } else if (base_ > until) {
+      return false;
+    }
+    *item = PopFront();
+    return true;
+  }
+
+ private:
+  static constexpr unsigned kBuckets = 65;  // bit_width of a 64-bit xor: 0..64
+
+  // Occupancy bit of bucket b >= 1; bucket 0 is checked directly.
+  static uint64_t Bit(unsigned b) { return b == 0 ? 0 : uint64_t{1} << (b - 1); }
+
+  unsigned LowestOccupied() const {
+    return static_cast<unsigned>(std::countr_zero(occupied_)) + 1;
+  }
+
+  static Cycles BucketMin(const std::vector<Item>& bucket) {
+    Cycles min = UINT64_MAX;
+    for (const Item& item : bucket) {
+      min = item.when < min ? item.when : min;
+    }
+    return min;
+  }
+
+  // Moves base_ to `min` (bucket b's minimum) and re-buckets b in order.
+  void Refill(unsigned b, Cycles min) {
+    base_ = min;
+    occupied_ &= ~Bit(b);
+    std::vector<Item>& src = buckets_[b];
+    for (const Item& item : src) {
+      unsigned k = static_cast<unsigned>(std::bit_width(item.when ^ base_));
+      buckets_[k].push_back(item);  // k < b: never src itself
+      occupied_ |= Bit(k);
+    }
+    src.clear();
+  }
+
+  Item PopFront() {
+    std::vector<Item>& b0 = buckets_[0];
+    Item item = b0[head0_++];
+    if (head0_ == b0.size()) {
+      b0.clear();
+      head0_ = 0;
+    }
+    return item;
+  }
+
+  Cycles base_ = 0;
+  uint64_t occupied_ = 0;  // bit b-1 set iff bucket b (b >= 1) is non-empty
+  size_t head0_ = 0;       // next entry to pop from bucket 0
+  std::array<std::vector<Item>, kBuckets> buckets_;
+};
+
 class Simulation {
  public:
   Simulation() = default;
@@ -52,9 +172,9 @@ class Simulation {
   // Schedules fn to run `delay` cycles from now. "Now" is the executing
   // shard's clock when another shard's queue is targeted mid-window — in
   // that case this queue's own clock must not even be *read* (its owner
-  // thread is advancing it concurrently). The legacy single-queue engine
-  // has engine_ == nullptr and never takes that branch.
-  void Schedule(Cycles delay, InlineFn fn) {
+  // thread is advancing it concurrently). The serial engine has
+  // engine_ == nullptr and never takes that branch.
+  void Schedule(Cycles delay, InlineFn&& fn) {
     if (engine_ != nullptr && ShardContext::current != nullptr &&
         ShardContext::current != this) {
       CrossScheduleAt(ShardContext::current->Now() + delay, std::move(fn));
@@ -78,8 +198,8 @@ class Simulation {
   // simulation is a shard of the parallel engine and the calling thread is
   // mid-window on a *different* shard, the insertion is deferred to the
   // shard's outbox and applied in deterministic merged order at the next
-  // window barrier (sim/engine.h); the legacy path pays one null check.
-  void ScheduleAt(Cycles when, InlineFn fn) {
+  // window barrier (sim/engine.h); the serial path pays one null check.
+  void ScheduleAt(Cycles when, InlineFn&& fn) {
     if (engine_ != nullptr && ShardContext::current != nullptr &&
         ShardContext::current != this) {
       CrossScheduleAt(when, std::move(fn));
@@ -90,34 +210,21 @@ class Simulation {
     if (!free_slots_.empty()) {
       slot = free_slots_.back();
       free_slots_.pop_back();
-      slots_[slot] = std::move(fn);
+      Slot(slot) = std::move(fn);
     } else {
-      slot = static_cast<uint32_t>(slots_.size());
-      slots_.push_back(std::move(fn));
+      slot = slot_count_++;
+      if ((slot & kChunkMask) == 0) {
+        chunks_.push_back(std::make_unique<InlineFn[]>(kChunkSlots));
+      }
+      Slot(slot) = std::move(fn);
     }
     if (engine_ != nullptr) {
       // Sharded queue: events carry the engine's serial-order key
-      // (insertion cycle, chain depth, lineage anchor — see Entry), which
-      // the FIFO cannot hold, so everything goes through the heap.
+      // (insertion cycle, chain depth, lineage anchor — see Entry).
       ParallelPush(when, slot);
       return;
     }
-    if (when == now_) {
-      // Same-cycle fast path (egress drains, credit returns, zero-cost
-      // continuations): a plain FIFO preserves (when, seq) order exactly —
-      // any same-cycle entry still in the heap was scheduled earlier and so
-      // carries a smaller seq, and the pop path drains those first.
-      now_fifo_.push_back(slot);
-      return;
-    }
-    Entry entry;
-    entry.when = when;
-    entry.icycle = now_;
-    entry.anchor = next_seq_++;
-    entry.lseq = entry.anchor;
-    entry.depth = 0;
-    entry.slot = slot;
-    Push(entry);
+    queue_.Push(when, slot);
   }
 
   // Runs events until the queue is empty. Returns the number of events run.
@@ -125,16 +232,17 @@ class Simulation {
   uint64_t RunUntilIdle(uint64_t max_events = UINT64_MAX);
 
   // Runs events with time <= `until`. Pending later events stay queued.
-  // Advances Now() to `until` even if the queue drains earlier.
+  // Advances Now() to `until` even if the queue drains earlier, unless
+  // `max_events` stops the run before every event up to `until` has run.
   uint64_t RunUntil(Cycles until, uint64_t max_events = UINT64_MAX);
 
-  bool Idle() const { return heap_.empty() && NowFifoEmpty(); }
+  // One of heap_ (sharded) and queue_ (serial) is always empty.
+  bool Idle() const { return heap_.empty() && queue_.empty(); }
   uint64_t EventsRun() const { return events_run_; }
-  size_t PendingEvents() const { return heap_.size() + (now_fifo_.size() - now_fifo_head_); }
 
-  // --- Parallel-engine support (sim/engine.h). The legacy single-queue
-  // --- engine never calls these; engine_ stays null and every hot path
-  // --- behaves exactly as before.
+  // --- Parallel-engine support (sim/engine.h). The serial engine never
+  // --- calls these; engine_ stays null and its hot paths never touch the
+  // --- sharded heap.
 
   // Marks this queue as shard `index` of `engine`. Cross-shard ScheduleAt
   // calls are deferred to the engine's outboxes from then on.
@@ -165,8 +273,8 @@ class Simulation {
 
   // Earliest pending event time, or UINT64_MAX when idle.
   Cycles NextEventWhen() const {
-    if (!NowFifoEmpty()) {
-      return now_;
+    if (engine_ == nullptr) {
+      return queue_.MinWhen();
     }
     return heap_.empty() ? UINT64_MAX : heap_.front().when;
   }
@@ -177,19 +285,21 @@ class Simulation {
  private:
   // Out-of-line cross-shard deferral and sharded-key insertion (keep
   // engine.h out of this header).
-  void CrossScheduleAt(Cycles when, InlineFn fn);
+  void CrossScheduleAt(Cycles when, InlineFn&& fn);
   void ParallelPush(Cycles when, uint32_t slot);
 
+  // Sharded-heap entry.
   struct Entry {
     Cycles when;
-    // Serial order key for same-`when` events: the serial engine breaks
-    // such ties by its global insertion counter, and the sharded engine
-    // reproduces that order with (icycle, depth, anchor, lseq):
-    //  * icycle — the cycle the insertion happened at: serial's counter is
-    //    monotone in time, so an event inserted during an earlier cycle
-    //    always has the smaller seq;
+    // Serial order key for same-`when` events: the serial engine runs such
+    // ties in insertion order, and the sharded engine reproduces that order
+    // with (icycle, depth, anchor, lseq):
+    //  * icycle — the cycle the insertion happened at: serial insertion
+    //    order is monotone in time, so an event inserted during an earlier
+    //    cycle always comes first;
     //  * depth — same-cycle chains (an event at cycle c scheduling at c):
-    //    the serial FIFO runs competing chains in generation waves, so the
+    //    the serial queue appends such events behind every event already
+    //    pending at c, so competing chains run in generation waves, and the
     //    chain link count orders them;
     //  * anchor — the lineage id: engine-exclusive insertions (boot,
     //    driver events, barrier-merged records) mint one from the global
@@ -201,9 +311,6 @@ class Simulation {
     //  * lseq — queue-local insertion counter: lineages never span shards
     //    (cross-shard effects re-anchor at the barrier), so any remaining
     //    tie is within one shard, where insertion order is serial order.
-    // On the legacy path icycle/anchor/lseq all follow the one insertion
-    // counter and depth is 0: the order is exactly the historical
-    // (when, seq).
     Cycles icycle;
     uint64_t anchor;
     uint64_t lseq;
@@ -229,47 +336,33 @@ class Simulation {
 
   // 4-ary heap primitives. Children of node i are 4i+1..4i+4. Insertion and
   // removal move the hole, not the elements pairwise, so each level costs
-  // one three-word Entry move.
+  // one Entry move.
   void Push(Entry entry);
   Entry PopEntry();
 
-  bool NowFifoEmpty() const { return now_fifo_head_ >= now_fifo_.size(); }
-
-  // Pops the earliest pending callback and returns its slab slot. Order:
-  // heap entries at now_ first (they were scheduled earlier, so their seq is
-  // smaller), then the same-cycle FIFO, then the heap advances time. The
-  // callback is invoked IN PLACE by the run loops — the slab is a deque, so
-  // reentrant scheduling never moves a closure that is currently executing —
-  // and the slot is recycled only after the call returns.
-  uint32_t PopSlot(Cycles* when, Cycles* icycle, uint64_t* anchor, uint32_t* depth) {
-    if (!NowFifoEmpty() && (heap_.empty() || heap_.front().when != now_)) {
-      uint32_t slot = now_fifo_[now_fifo_head_++];
-      if (NowFifoEmpty()) {
-        now_fifo_.clear();
-        now_fifo_head_ = 0;
-      }
-      *when = now_;
-      *icycle = 0;  // legacy-only path; nothing consumes the fifo key
-      *anchor = 0;
-      *depth = 0;
-      return slot;
-    }
+  // Pops the sharded heap's top and runs it with its order key published
+  // (the engine stamps cross-shard records with it).
+  void RunEntry() {
     Entry top = PopEntry();
-    *when = top.when;
-    *icycle = top.icycle;
-    *anchor = top.anchor;
-    *depth = top.depth;
-    return top.slot;
+    now_ = top.when;
+    current_icycle_ = top.icycle;
+    current_anchor_ = top.anchor;
+    current_depth_ = top.depth;
+    RunSlot(top.slot);
   }
 
-  // Runs the callback in slot `slot`, then recycles the slot.
+  // Runs the callback in slot `slot`, then recycles the slot. The callback
+  // is invoked IN PLACE — slab chunks never move, so reentrant scheduling
+  // never moves a closure that is currently executing — and the slot is
+  // recycled only after the call returns.
   void RunSlot(uint32_t slot) {
-    slots_[slot]();
-    slots_[slot] = InlineFn();
+    InlineFn& fn = Slot(slot);
+    fn();
+    fn = InlineFn();
     free_slots_.push_back(slot);
   }
 
-  ParallelEngine* engine_ = nullptr;  // null on the legacy single-queue path
+  ParallelEngine* engine_ = nullptr;  // null on the serial engine
   uint32_t shard_index_ = 0;
   Cycles current_icycle_ = 0;         // order key of the executing event...
   uint64_t current_anchor_ = 0;       // ...its lineage anchor...
@@ -277,12 +370,17 @@ class Simulation {
   uint64_t next_lseq_ = 0;            // per-queue insertion counter (tiebreak)
   Cycles now_ = 0;
   Cycles horizon_ = 0;  // latest time any work (event or charge) reaches
-  uint64_t next_seq_ = 0;
   uint64_t events_run_ = 0;
-  std::vector<Entry> heap_;
-  std::vector<uint32_t> now_fifo_;     // slab indices of same-cycle events
-  size_t now_fifo_head_ = 0;
-  std::deque<InlineFn> slots_;         // callback slab, indexed by Entry::slot
+  RadixQueue queue_;                   // serial engine's queue
+  std::vector<Entry> heap_;            // sharded engine's queue
+  // Callback slab in fixed-size chunks: a slot never moves once allocated,
+  // and finding it is a shift and a mask.
+  static constexpr uint32_t kChunkBits = 8;
+  static constexpr uint32_t kChunkSlots = 1u << kChunkBits;
+  static constexpr uint32_t kChunkMask = kChunkSlots - 1;
+  InlineFn& Slot(uint32_t slot) { return chunks_[slot >> kChunkBits][slot & kChunkMask]; }
+  std::vector<std::unique_ptr<InlineFn[]>> chunks_;
+  uint32_t slot_count_ = 0;
   std::vector<uint32_t> free_slots_;   // recycled slab indices
 };
 
