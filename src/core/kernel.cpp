@@ -1,7 +1,6 @@
 #include "core/kernel.h"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 #include <utility>
 
@@ -11,14 +10,9 @@
 
 namespace semperos {
 
-namespace {
-
-const char* kTag = "kernel";
-
-// Records a completed span; callers already verified `tr` is non-null and
-// the operation is traced.
-void RecordSpan(obs::Tracer* tr, uint64_t trace, uint64_t span, uint64_t parent,
-                Cycles start, Cycles end, uint32_t entity, obs::SpanKind kind, uint16_t op) {
+void Kernel::RecordSpan(obs::Tracer* tr, uint64_t trace, uint64_t span, uint64_t parent,
+                        Cycles start, Cycles end, uint32_t entity, obs::SpanKind kind,
+                        uint16_t op) {
   obs::Span s;
   s.trace_id = trace;
   s.span_id = span;
@@ -30,8 +24,6 @@ void RecordSpan(obs::Tracer* tr, uint64_t trace, uint64_t span, uint64_t parent,
   s.op = op;
   tr->Record(s);
 }
-
-}  // namespace
 
 const char* CapTypeName(CapType type) {
   switch (type) {
@@ -158,12 +150,6 @@ void Kernel::ReleaseThread() {
   CHECK_GT(stats_.threads_in_use, 0u);
   stats_.threads_in_use--;
 }
-
-void Kernel::Finish(Cycles cost, InlineFn&& effects) {
-  pe_->exec().Post(cost, std::move(effects));
-}
-
-Cycles Kernel::Charge(Cycles cost) { return pe_->exec().Occupy(cost); }
 
 void Kernel::Emit(Cycles ready, InlineFn&& send) {
   egress_.push_back(EgressMsg{ready, std::move(send)});
@@ -494,1441 +480,6 @@ void Kernel::SysNoop(SyscallCtx ctx, const SyscallMsg& req) {
 }
 
 // ---------------------------------------------------------------------------
-// Obtain path — local and group-spanning (paper §4.3.2, Figure 3)
-// ---------------------------------------------------------------------------
-
-void Kernel::OwnerSideObtain(AskOp ask_op, DdlKey owner_cap, VpeId owner_vpe, CapSel owner_sel,
-                             VpeId client, DdlKey child_key, MsgRef opaque, uint64_t session,
-                             std::function<void(ErrCode, DdlKey, const CapPayload&, MsgRef,
-                                                uint64_t)>
-                                 done) {
-  VpeState* owner = vpes_.Find(owner_vpe);
-  if (owner == nullptr || !owner->alive) {
-    done(ErrCode::kVpeGone, DdlKey(), CapPayload(), nullptr, 0);
-    return;
-  }
-  if (owner->migrating) {
-    // The owner's partition is being handed off; like the Pointless denial
-    // this is rejected immediately, but with a retryable code — the retry
-    // routes to the new kernel through the updated membership table.
-    done(ErrCode::kVpeMigrating, DdlKey(), CapPayload(), nullptr, 0);
-    return;
-  }
-
-  // Resolve the capability that anchors this exchange (except for session
-  // exchanges, where the service names the shared capability in its reply).
-  Capability* anchor = nullptr;
-  if (ask_op != AskOp::kExchange) {
-    anchor = owner_cap.IsNull() ? CapOf(owner_vpe, owner_sel) : caps_.Find(owner_cap);
-    if (anchor == nullptr) {
-      done(ErrCode::kNoSuchCap, DdlKey(), CapPayload(), nullptr, 0);
-      return;
-    }
-    if (anchor->marked()) {
-      // "we immediately deny exchanges of capabilities that are in
-      // revocation, which prevents pointless capability exchanges" (§4.3.3).
-      stats_.pointless_denials++;
-      done(ErrCode::kCapRevoked, DdlKey(), CapPayload(), nullptr, 0);
-      return;
-    }
-  }
-
-  auto ask = NewMsg<AskMsg>();
-  ask->op = ask_op;
-  ask->client = client;
-  ask->sel = owner_sel;
-  ask->session = session;
-  ask->payload = std::move(opaque);
-
-  AskParty(owner->node, ask,
-           [this, ask_op, owner_vpe, child_key, done = std::move(done)](const AskReply& reply) {
-             if (reply.err != ErrCode::kOk) {
-               done(reply.err, DdlKey(), CapPayload(), reply.payload, reply.session);
-               return;
-             }
-             // Re-resolve: the capability may have been revoked while we
-             // were waiting for the party.
-             Capability* parent = CapOf(owner_vpe, reply.share_sel);
-             if (parent == nullptr) {
-               done(ErrCode::kNoSuchCap, DdlKey(), CapPayload(), reply.payload, reply.session);
-               return;
-             }
-             if (parent->marked()) {
-               stats_.pointless_denials++;
-               done(ErrCode::kCapRevoked, DdlKey(), CapPayload(), reply.payload, reply.session);
-               return;
-             }
-             // Link the proposed child into the mapping database. If the
-             // obtainer dies before materializing it, this entry is the
-             // "orphaned capability" of §4.3.2, cleaned up via notification.
-             Charge(t_.tree_insert + t_.ddl_decode);
-             parent->AddChild(child_key);
-             CapPayload payload = parent->payload();
-             if (ask_op == AskOp::kOpenSession) {
-               payload.type = CapType::kSession;
-               payload.session = reply.session;
-               payload.service = parent->key();
-             }
-             done(ErrCode::kOk, parent->key(), payload, reply.payload, reply.session);
-           });
-}
-
-void Kernel::FinishObtain(ObtainOp op, ErrCode err, DdlKey parent, const CapPayload& payload,
-                          MsgRef opaque, uint64_t session) {
-  (void)session;
-  if (err != ErrCode::kOk) {
-    Finish(t_.syscall_reply, [this, op, err, opaque] {
-      ReplySyscall(op.sc, err, kInvalidSel, CapPayload(), opaque);
-    });
-    return;
-  }
-  VpeState* client = vpes_.Find(op.client);
-  if (client == nullptr || !client->alive) {
-    // Obtainer died while the exchange was in flight: the owner now tracks
-    // an orphaned child. Notify its kernel for quick removal (§4.3.2).
-    stats_.orphans_cleaned++;
-    UnlinkChildAtParent(parent, op.child_key, /*orphan=*/true);
-    ReleaseThread();
-    pe_->dtu().Ack(op.sc.recv_ep, op.sc.msg);
-    return;
-  }
-
-  CapSel sel = client->AllocSel();
-  Capability* cap = caps_.Create(op.child_key, payload.type, op.client, sel);
-  cap->payload() = payload;
-  cap->set_parent(parent);
-  client->table.Set(sel, op.child_key);
-  stats_.caps_created++;
-  stats_.obtains++;
-
-  CapPayload reply_payload = payload;
-  if (op.open_session) {
-    stats_.sessions_opened++;
-    // Configure the client's session send gate (the channel of Figure 3
-    // that afterwards works without the kernel).
-    Charge(t_.cap_create + t_.ddl_decode + t_.ep_config);
-    pe_->dtu().ConfigureRemoteSend(
-        client->node, user_ep::kServiceSend, op.service_node, user_ep::kServiceRecv,
-        /*credits=*/1, /*label=*/payload.session,
-        [this, op, sel, reply_payload, opaque] {
-          Finish(t_.syscall_reply,
-                 [this, op, sel, reply_payload, opaque] {
-                   ReplySyscall(op.sc, ErrCode::kOk, sel, reply_payload, opaque);
-                 });
-        });
-    return;
-  }
-  Finish(t_.cap_create + t_.ddl_decode + t_.syscall_reply, [this, op, sel, reply_payload, opaque] {
-    ReplySyscall(op.sc, ErrCode::kOk, sel, reply_payload, opaque);
-  });
-}
-
-void Kernel::SysObtain(SyscallCtx ctx, const SyscallMsg& req) {
-  ObtainOp op;
-  op.token = next_token_++;
-  op.sc = ctx;
-  op.client = req.vpe;
-  op.child_key = AllocKey(req.vpe, CapType::kNone);
-
-  if (IsLocalVpe(req.peer)) {
-    Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode);
-    OwnerSideObtain(AskOp::kObtain, DdlKey(), req.peer, req.sel, req.vpe, op.child_key, nullptr, 0,
-                    [this, op](ErrCode err, DdlKey parent, const CapPayload& payload, MsgRef opq,
-                               uint64_t session) {
-                      FinishObtain(op, err, parent, payload, opq, session);
-                    });
-    return;
-  }
-
-  // Group-spanning: forward to the owner's kernel (Figure 3, sequence B).
-  stats_.spanning_obtains++;
-  op.spanning = true;
-  uint64_t token = op.token;
-  obtains_[token] = op;
-  Charge(t_.syscall_dispatch + DdlDecodeCostVpe(req.peer) +
-         IkcSendCost(KernelOfVpe(req.peer), IkcOp::kObtainReq));
-  auto msg = NewMsg<IkcMsg>();
-  msg->op = IkcOp::kObtainReq;
-  msg->vpe = req.vpe;
-  msg->peer = req.peer;
-  msg->cap = DdlKey();
-  msg->child = op.child_key;
-  // Reuse the syscall's selector as the owner-side selector.
-  msg->payload.session = req.sel;
-  SendIkc(KernelOfVpe(req.peer), msg, [this, token](const IkcReply& reply) {
-    auto it = obtains_.find(token);
-    CHECK(it != obtains_.end());
-    ObtainOp pending = it->second;
-    obtains_.erase(it);
-    Charge(t_.ikc_reply_handle);
-    FinishObtain(pending, reply.err, reply.cap, reply.payload, reply.opaque,
-                 reply.payload.session);
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Sessions and session exchanges (service-mediated obtains)
-// ---------------------------------------------------------------------------
-
-const Kernel::ServiceEntry* Kernel::PickService(const std::string& name, VpeId client) const {
-  auto it = services_.find(name);
-  if (it == services_.end() || it->second.empty()) {
-    return nullptr;
-  }
-  const std::vector<ServiceEntry>& entries = it->second;
-  // Kernels "prefer to connect their applications to the service in their PE
-  // group over a service in another PE group" (paper §5.3.2).
-  const ServiceEntry* local_pick = nullptr;
-  uint32_t locals = 0;
-  for (const ServiceEntry& e : entries) {
-    if (e.kernel == config_.id) {
-      locals++;
-    }
-  }
-  if (locals > 0) {
-    uint32_t idx = client % locals;
-    for (const ServiceEntry& e : entries) {
-      if (e.kernel == config_.id) {
-        if (idx == 0) {
-          local_pick = &e;
-          break;
-        }
-        idx--;
-      }
-    }
-    return local_pick;
-  }
-  return &entries[client % entries.size()];
-}
-
-void Kernel::SysOpenSession(SyscallCtx ctx, const SyscallMsg& req) {
-  const ServiceEntry* svc = PickService(req.name, req.vpe);
-  if (svc == nullptr) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchService); });
-    return;
-  }
-
-  ObtainOp op;
-  op.token = next_token_++;
-  op.sc = ctx;
-  op.client = req.vpe;
-  op.child_key = AllocKey(req.vpe, CapType::kSession);
-  op.open_session = true;
-  op.service_node = svc->node;
-
-  if (svc->kernel == config_.id) {
-    Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode + t_.session_exchange_extra);
-    OwnerSideObtain(AskOp::kOpenSession, svc->cap, svc->vpe, kInvalidSel, req.vpe, op.child_key,
-                    nullptr, 0,
-                    [this, op](ErrCode err, DdlKey parent, const CapPayload& payload, MsgRef opq,
-                               uint64_t session) {
-                      FinishObtain(op, err, parent, payload, opq, session);
-                    });
-    return;
-  }
-
-  stats_.spanning_obtains++;
-  op.spanning = true;
-  uint64_t token = op.token;
-  obtains_[token] = op;
-  Charge(t_.syscall_dispatch + DdlDecodeCost(svc->cap) +
-         IkcSendCost(svc->kernel, IkcOp::kOpenSessionReq));
-  auto msg = NewMsg<IkcMsg>();
-  msg->op = IkcOp::kOpenSessionReq;
-  msg->vpe = req.vpe;
-  msg->cap = svc->cap;
-  msg->child = op.child_key;
-  SendIkc(svc->kernel, msg, [this, token](const IkcReply& reply) {
-    auto it = obtains_.find(token);
-    CHECK(it != obtains_.end());
-    ObtainOp pending = it->second;
-    obtains_.erase(it);
-    Charge(t_.ikc_reply_handle);
-    FinishObtain(pending, reply.err, reply.cap, reply.payload, reply.opaque,
-                 reply.payload.session);
-  });
-}
-
-void Kernel::SysExchange(SyscallCtx ctx, const SyscallMsg& req) {
-  Capability* session = CapOf(req.vpe, req.sel);
-  if (session == nullptr || session->type() != CapType::kSession) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply, [this, ctx, session] {
-      ReplySyscall(ctx, session == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType);
-    });
-    return;
-  }
-  if (session->marked()) {
-    stats_.pointless_denials++;
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kCapRevoked); });
-    return;
-  }
-
-  DdlKey service_cap = session->payload().service;
-  uint64_t session_id = session->payload().session;
-  KernelId owner_kernel = KernelOf(service_cap);
-
-  ObtainOp op;
-  op.token = next_token_++;
-  op.sc = ctx;
-  op.client = req.vpe;
-  op.child_key = AllocKey(req.vpe, CapType::kNone);
-
-  if (owner_kernel == config_.id) {
-    Capability* svc_cap = caps_.Find(service_cap);
-    if (svc_cap == nullptr) {
-      Finish(t_.syscall_dispatch + t_.syscall_reply,
-             [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchCap); });
-      return;
-    }
-    Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode + t_.session_exchange_extra);
-    OwnerSideObtain(AskOp::kExchange, service_cap, svc_cap->holder(), kInvalidSel, req.vpe,
-                    op.child_key, req.payload, session_id,
-                    [this, op](ErrCode err, DdlKey parent, const CapPayload& payload, MsgRef opq,
-                               uint64_t owner_session) {
-                      FinishObtain(op, err, parent, payload, opq, owner_session);
-                    });
-    return;
-  }
-
-  stats_.spanning_obtains++;
-  op.spanning = true;
-  uint64_t token = op.token;
-  obtains_[token] = op;
-  Charge(t_.syscall_dispatch + DdlDecodeCost(service_cap) +
-         IkcSendCost(owner_kernel, IkcOp::kObtainReq));
-  auto msg = NewMsg<IkcMsg>();
-  msg->op = IkcOp::kObtainReq;
-  msg->vpe = req.vpe;
-  msg->cap = service_cap;
-  msg->child = op.child_key;
-  msg->opaque = req.payload;
-  msg->payload.session = session_id;
-  SendIkc(owner_kernel, msg, [this, token](const IkcReply& reply) {
-    auto it = obtains_.find(token);
-    CHECK(it != obtains_.end());
-    ObtainOp pending = it->second;
-    obtains_.erase(it);
-    Charge(t_.ikc_reply_handle);
-    FinishObtain(pending, reply.err, reply.cap, reply.payload, reply.opaque,
-                 reply.payload.session);
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Delegate path — two-way handshake (paper §4.3.2)
-// ---------------------------------------------------------------------------
-
-void Kernel::SysDelegate(SyscallCtx ctx, const SyscallMsg& req) {
-  Capability* cap = CapOf(req.vpe, req.sel);
-  if (cap == nullptr) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchCap); });
-    return;
-  }
-  if (cap->marked()) {
-    stats_.pointless_denials++;
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kCapRevoked); });
-    return;
-  }
-
-  DelegateOp op;
-  op.token = next_token_++;
-  op.sc = ctx;
-  op.cap = cap->key();
-  op.client = req.vpe;
-  op.peer = req.peer;
-
-  if (IsLocalVpe(req.peer)) {
-    // Group-internal delegate: no handshake needed, one kernel owns both.
-    VpeState* peer_vpe = vpes_.Find(req.peer);
-    if (peer_vpe == nullptr || !peer_vpe->alive) {
-      Finish(t_.syscall_dispatch + t_.syscall_reply,
-             [this, ctx] { ReplySyscall(ctx, ErrCode::kVpeGone); });
-      return;
-    }
-    if (peer_vpe->migrating) {
-      Finish(t_.syscall_dispatch + t_.syscall_reply,
-             [this, ctx] { ReplySyscall(ctx, ErrCode::kVpeMigrating); });
-      return;
-    }
-    Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode);
-    auto ask = NewMsg<AskMsg>();
-    ask->op = AskOp::kDelegate;
-    ask->client = req.vpe;
-    ask->offered = cap->payload();
-    AskParty(peer_vpe->node, ask, [this, op](const AskReply& reply) {
-      if (reply.err != ErrCode::kOk) {
-        Finish(t_.syscall_reply, [this, op, err = reply.err] { ReplySyscall(op.sc, err); });
-        return;
-      }
-      Capability* parent = caps_.Find(op.cap);
-      if (parent == nullptr || parent->marked()) {
-        stats_.pointless_denials += (parent != nullptr);
-        Finish(t_.syscall_reply, [this, op] { ReplySyscall(op.sc, ErrCode::kCapRevoked); });
-        return;
-      }
-      VpeState* receiver = vpes_.Find(op.peer);
-      if (receiver == nullptr || !receiver->alive) {
-        Finish(t_.syscall_reply, [this, op] { ReplySyscall(op.sc, ErrCode::kVpeGone); });
-        return;
-      }
-      Capability* child = CreateCap(receiver, parent->type(), parent->payload(),
-                                    parent->key());
-      parent->AddChild(child->key());
-      stats_.delegates++;
-      Finish(t_.cap_create + t_.tree_insert + 2 * t_.ddl_decode + t_.syscall_reply,
-             [this, op] { ReplySyscall(op.sc, ErrCode::kOk); });
-    });
-    return;
-  }
-
-  // Group-spanning delegate.
-  stats_.spanning_delegates++;
-  op.spanning = true;
-  uint64_t token = op.token;
-  delegates_[token] = op;
-  Charge(t_.syscall_dispatch + t_.exchange_validate + DdlDecodeCostVpe(req.peer) +
-         IkcSendCost(KernelOfVpe(req.peer), IkcOp::kDelegateReq));
-  auto msg = NewMsg<IkcMsg>();
-  msg->op = IkcOp::kDelegateReq;
-  msg->vpe = req.vpe;
-  msg->peer = req.peer;
-  msg->cap = cap->key();
-  msg->payload = cap->payload();
-  SendIkc(KernelOfVpe(req.peer), msg, [this, token](const IkcReply& reply) {
-    auto it = delegates_.find(token);
-    CHECK(it != delegates_.end());
-    DelegateOp pending = it->second;
-    delegates_.erase(it);
-    Charge(t_.ikc_reply_handle);
-    FinishDelegate(pending, reply.err, reply.child);
-  });
-}
-
-void Kernel::FinishDelegate(DelegateOp op, ErrCode err, DdlKey child_key) {
-  if (err != ErrCode::kOk) {
-    Finish(t_.syscall_reply, [this, op, err] { ReplySyscall(op.sc, err); });
-    return;
-  }
-  // Second leg of the handshake: only if the delegated capability still
-  // exists do we link the child and tell the peer kernel to materialize it.
-  // "if the delegator is killed while waiting... the delegated capability
-  // stays valid at the receiving VPE" — prevented here (§4.3.2, "Invalid").
-  Capability* parent = caps_.Find(op.cap);
-  bool ok = parent != nullptr && !parent->marked();
-  auto ack = NewMsg<IkcMsg>();
-  ack->op = IkcOp::kDelegateAck;
-  ack->child = child_key;
-  ack->cap = op.cap;
-  KernelId peer_kernel = KernelOfVpe(op.peer);
-  if (ok) {
-    parent->AddChild(child_key);
-    stats_.delegates++;
-    Charge(t_.tree_insert + t_.ddl_decode + IkcSendCost(peer_kernel, IkcOp::kDelegateAck));
-  } else {
-    stats_.invalid_prevented++;
-    Charge(IkcSendCost(peer_kernel, IkcOp::kDelegateAck));
-  }
-  ack->payload.session = ok ? 0 : 1;  // non-zero session field = abort
-  if (peer_kernel == config_.id) {
-    // The receiver's partition migrated onto this kernel mid-handshake
-    // (the request reached its old owner, which forwarded it here, so the
-    // parked child sits in our own table): deliver the ACK locally.
-    ApplyDelegateAck(!ok, child_key, nullptr);
-  } else {
-    SendIkc(peer_kernel, ack, [](const IkcReply&) {});
-  }
-  Finish(t_.syscall_reply, [this, op, ok] {
-    ReplySyscall(op.sc, ok ? ErrCode::kOk : ErrCode::kCapRevoked);
-  });
-}
-
-void Kernel::ApplyDelegateAck(bool abort, DdlKey child_key, std::function<void(ErrCode)> reply) {
-  auto it = parked_delegates_.find(child_key.raw());
-  CHECK(it != parked_delegates_.end()) << "delegate ack for unknown parked child";
-  ParkedDelegate parked = it->second;
-  parked_delegates_.erase(it);
-  ErrCode err = ErrCode::kOk;
-  if (!abort) {
-    VpeState* receiver = vpes_.Find(parked.receiver);
-    if (receiver != nullptr && receiver->alive) {
-      CapSel sel = receiver->AllocSel();
-      Capability* cap =
-          caps_.Create(parked.child_key, parked.payload.type, parked.receiver, sel);
-      cap->payload() = parked.payload;
-      cap->set_parent(parked.parent_key);
-      receiver->table.Set(sel, parked.child_key);
-      stats_.caps_created++;
-      Charge(t_.ikc_reply_handle + t_.tree_insert + t_.ddl_decode);
-    } else {
-      // Receiver died while waiting for the ACK: unlink the orphaned child
-      // entry at the parent capability's kernel (§4.3.2). Route by the
-      // parent's key, not the request's source — a forwarded delegate
-      // carries the forwarder as source, and the parent's partition itself
-      // may have migrated since the child was parked.
-      stats_.orphans_cleaned++;
-      UnlinkChildAtParent(parked.parent_key, parked.child_key, /*orphan=*/true);
-      err = ErrCode::kVpeGone;
-      Charge(t_.ikc_reply_handle);
-    }
-  } else {
-    Charge(t_.ikc_reply_handle);
-  }
-  if (reply) {
-    reply(err);
-  }
-}
-
-void Kernel::OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& msg) {
-  VpeState* receiver = vpes_.Find(req.peer);
-  if (receiver == nullptr || !receiver->alive || receiver->migrating) {
-    auto reply = NewMsg<IkcReply>();
-    reply->token = req.token;
-    reply->err = (receiver != nullptr && receiver->migrating) ? ErrCode::kVpeMigrating
-                                                              : ErrCode::kVpeGone;
-    Emit(Charge(t_.ikc_send), [this, recv_ep, msg, reply] { ReplyIkc(recv_ep, msg, reply); });
-    return;
-  }
-  auto ask = NewMsg<AskMsg>();
-  ask->op = AskOp::kDelegate;
-  ask->client = req.vpe;
-  ask->offered = req.payload;
-  uint64_t token = req.token;
-  DdlKey parent_key = req.cap;
-  CapPayload payload = req.payload;
-  KernelId from = req.src_kernel;
-  VpeId peer = req.peer;
-  AskParty(receiver->node, ask,
-           [this, token, parent_key, payload, from, peer, recv_ep, msg](const AskReply& areply) {
-             if (areply.err != ErrCode::kOk) {
-               auto reply = NewMsg<IkcReply>();
-               reply->token = token;
-               reply->err = areply.err;
-               Emit(Charge(t_.ikc_send), [this, recv_ep, msg, reply] { ReplyIkc(recv_ep, msg, reply); });
-               return;
-             }
-             // Create the child capability but do NOT insert it into the
-             // receiver's capability tree yet — that happens on the ACK
-             // (two-way handshake, §4.3.2).
-             DdlKey child_key = AllocKey(peer, payload.type);
-             ParkedDelegate parked;
-             parked.child_key = child_key;
-             parked.parent_key = parent_key;
-             parked.receiver = peer;
-             parked.payload = payload;
-             parked.from_kernel = from;
-             parked_delegates_[child_key.raw()] = parked;
-             auto reply = NewMsg<IkcReply>();
-             reply->token = token;
-             reply->err = ErrCode::kOk;
-             reply->child = child_key;
-             Emit(Charge(t_.cap_create + t_.ddl_decode + t_.ikc_send), [this, recv_ep, msg, reply] { ReplyIkc(recv_ep, msg, reply); });
-           });
-}
-
-// ---------------------------------------------------------------------------
-// Revocation — two-phase mark-and-sweep (paper §4.3.3, Algorithm 1)
-// ---------------------------------------------------------------------------
-
-RevokeTask* Kernel::NewRevokeTask(DdlKey root) {
-  auto task = std::make_unique<RevokeTask>();
-  task->id = next_token_++;
-  task->root = root;
-  RevokeTask* raw = task.get();
-  revoke_tasks_[raw->id] = std::move(task);
-  return raw;
-}
-
-Cycles Kernel::MarkPass(Capability* cap, RevokeTask* task) {
-  // Phase 1 of Algorithm 1 (`revoke_children`): mark the local subtree,
-  // fan out REVOKE_REQs for remote children, and register dependencies on
-  // overlapping revocations.
-  cap->Mark(task);
-  task->marked++;
-  Cycles cost = t_.revoke_mark_per_cap + t_.ddl_decode;
-  for (DdlKey child_key : cap->children()) {
-    cost += DdlDecodeCost(child_key);  // decode the edge to find the owning kernel
-    KernelId transfer_dst = MigratingTo(child_key.pe());
-    if (transfer_dst != kInvalidKernel) {
-      // The child's partition is in flight to another kernel. Marking the
-      // local copy now would revoke state the destination is about to
-      // resurrect; instead treat the child as remote and send the
-      // REVOKE_REQ to the destination — pairwise FIFO guarantees the
-      // MIGRATE_VPE snapshot arrives there first.
-      stats_.spanning_revokes++;
-      task->remote_children[transfer_dst].push_back(child_key);
-      continue;
-    }
-    if (KernelOf(child_key) == config_.id) {
-      Capability* child = caps_.Find(child_key);
-      if (child == nullptr) {
-        continue;  // already deleted by a completed overlapping revoke
-      }
-      if (child->marked()) {
-        // Overlapping revocation: wait for the other task instead of
-        // double-marking ("wait for the already outstanding kernel
-        // replies", §4.3.3).
-        task->outstanding++;
-        uint64_t id = task->id;
-        child->task()->on_complete.push_back([this, id] { RevokeDependencyDone(id); });
-        continue;
-      }
-      cost += MarkPass(child, task);
-    } else {
-      stats_.spanning_revokes++;
-      task->remote_children[KernelOf(child_key)].push_back(child_key);
-    }
-  }
-  return cost;
-}
-
-Cycles Kernel::FlushRevokeRequests(RevokeTask* task) {
-  Cycles cost = 0;
-  uint64_t id = task->id;
-  for (auto& [peer, keys] : task->remote_children) {
-    if (config_.revoke_batching) {
-      // One message per peer kernel carrying every child key (§5.2 future
-      // work); the peer replies once when its whole share is gone.
-      task->outstanding++;
-      cost += IkcSendCost(peer, IkcOp::kRevokeBatchReq) +
-              static_cast<Cycles>(keys.size()) * 30;
-      auto msg = NewMsg<IkcMsg>();
-      msg->op = IkcOp::kRevokeBatchReq;
-      msg->caps = keys;
-      SendIkc(peer, msg, [this, id](const IkcReply&) {
-        Charge(t_.ikc_reply_handle);
-        RevokeDependencyDone(id);
-      });
-    } else {
-      // "the kernel managing the root capability sends out one message for
-      // each child capability" (paper §5.2).
-      for (DdlKey key : keys) {
-        task->outstanding++;
-        cost += IkcSendCost(peer, IkcOp::kRevokeReq);
-        auto msg = NewMsg<IkcMsg>();
-        msg->op = IkcOp::kRevokeReq;
-        msg->cap = key;
-        SendIkc(peer, msg, [this, id](const IkcReply&) {
-          Charge(t_.ikc_reply_handle);
-          RevokeDependencyDone(id);
-        });
-      }
-    }
-  }
-  task->remote_children.clear();
-  return cost;
-}
-
-void Kernel::RevokeDependencyDone(uint64_t task_id) {
-  auto it = revoke_tasks_.find(task_id);
-  CHECK(it != revoke_tasks_.end());
-  RevokeTask* task = it->second.get();
-  CHECK_GT(task->outstanding, 0u);
-  task->outstanding--;
-  CheckRevokeComplete(task);
-}
-
-void Kernel::CheckRevokeComplete(RevokeTask* task) {
-  if (task->outstanding > 0) {
-    return;  // the kernel thread stays suspended (paper §4.2)
-  }
-  // Phase 2: every remote child confirmed; delete the local subtree. The
-  // sweep cost must be charged before the completion reply is posted —
-  // acknowledgements only go out once the deletion work is done.
-  uint32_t deleted = 0;
-  Cycles cost = SweepPass(task->root, task, &deleted);
-  Charge(cost);
-  CompleteRevokeTask(task);
-}
-
-Cycles Kernel::SweepPass(DdlKey key, RevokeTask* task, uint32_t* deleted) {
-  Capability* cap = caps_.Find(key);
-  if (cap == nullptr || cap->task() != task) {
-    return 0;  // remote child, or owned by an overlapping task
-  }
-  Cycles cost = 0;
-  for (DdlKey child : cap->children()) {
-    cost += SweepPass(child, task, deleted);
-  }
-  cost += t_.revoke_sweep_per_cap + t_.ddl_decode;
-  if (cap->type() == CapType::kSession) {
-    // The client's connection is gone; tell the service so it can drop the
-    // session state (m3fs frees open-file bookkeeping).
-    auto ask = NewMsg<AskMsg>();
-    ask->op = AskOp::kCloseSession;
-    ask->session = cap->payload().session;
-    AskParty(cap->payload().dst_node, ask, [](const AskReply&) {});
-  }
-  if (cap->activated()) {
-    // Enforce the revocation: invalidate the DTU endpoint this capability
-    // was bound to (NoC-level isolation makes this sufficient).
-    cost += t_.ep_invalidate;
-    VpeState* h = vpes_.Find(cap->holder());
-    if (h != nullptr) {
-      pe_->dtu().InvalidateRemoteEp(h->node, cap->activated_ep(), nullptr);
-    }
-  }
-  VpeState* holder = vpes_.Find(cap->holder());
-  if (holder != nullptr) {
-    holder->table.Erase(cap->sel());
-  }
-  caps_.Erase(key);
-  stats_.caps_deleted++;
-  (*deleted)++;
-  return cost;
-}
-
-void Kernel::CompleteRevokeTask(RevokeTask* task) {
-  // Unlink the root from its (possibly remote) parent, unless that parent
-  // is being revoked by the kernel that asked us (the usual recursive case).
-  if (task->initiator || task->admin) {
-    Capability* root = caps_.Find(task->root);
-    // The root was deleted by the sweep; its parent unlink happened through
-    // the pre-recorded parent key.
-    (void)root;
-  }
-  if (!task->parent_unlink.IsNull()) {
-    UnlinkChildAtParent(task->parent_unlink, task->root, /*orphan=*/false);
-  }
-
-  if (task->initiator) {
-    stats_.revokes++;
-    SyscallCtx sc;
-    sc.vpe = task->vpe;
-    sc.recv_ep = task->reply_recv_ep;
-    sc.msg = task->reply_msg;
-    sc.valid = true;
-    Cycles wake = task->suspended ? t_.revoke_resume : 0;
-    Finish(wake + t_.revoke_finish + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
-  } else if (task->admin) {
-    if (task->admin_done) {
-      Finish(t_.revoke_finish, task->admin_done);
-    }
-  } else {
-    // Participant: reply to the requesting kernel only now that our entire
-    // part of the subtree (including everything below remote children) is
-    // gone — never acknowledge an incomplete revoke (§4.3.1 "Incomplete").
-    auto reply = NewMsg<IkcReply>();
-    reply->token = task->req_token;
-    reply->err = ErrCode::kOk;
-    EpId ep = task->reply_recv_ep;
-    Message msg = task->reply_msg;
-    Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-  }
-
-  for (auto& hook : task->on_complete) {
-    hook();
-  }
-  revoke_tasks_.erase(task->id);
-}
-
-void Kernel::SysRevoke(SyscallCtx ctx, const SyscallMsg& req) {
-  Capability* cap = CapOf(req.vpe, req.sel);
-  if (cap == nullptr) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchCap); });
-    return;
-  }
-  if (cap->marked()) {
-    // An overlapping revoke already covers this capability; wait for it so
-    // our acknowledgement is never early (§4.3.3).
-    cap->task()->on_complete.push_back([this, ctx] {
-      Finish(t_.revoke_finish + t_.syscall_reply, [this, ctx] { ReplySyscall(ctx, ErrCode::kOk); });
-    });
-    return;
-  }
-
-  RevokeTask* task = NewRevokeTask(cap->key());
-  task->initiator = true;
-  task->vpe = ctx.vpe;
-  task->reply_recv_ep = ctx.recv_ep;
-  task->reply_msg = ctx.msg;
-  task->parent_unlink = cap->parent();
-  Cycles cost = t_.syscall_dispatch + t_.revoke_entry + MarkPass(cap, task);
-  cost += FlushRevokeRequests(task);
-  if (task->outstanding > 0) {
-    // The syscall thread pauses at its preemption point until every remote
-    // reply arrived ("wait_for_remote_children", Algorithm 1 / §4.2).
-    task->suspended = true;
-    cost += t_.revoke_suspend;
-  }
-  Charge(cost);
-  CheckRevokeComplete(task);
-}
-
-void Kernel::OnRevokeReq(EpId ep, const Message& msg, const IkcMsg& req) {
-  // "Our solution uses a maximum of two threads per kernel" for incoming
-  // revocations, preventing denial-of-service through capability ping-pong
-  // chains (§4.3.3). Crucially — exactly as in Algorithm 1 — the thread is
-  // held only for the marking pass and is NOT paused while waiting for
-  // remote replies ("the thread will not be paused to stay at a fixed
-  // number of threads"); completion is driven by the reply counters. This
-  // is what keeps deep alternating chains deadlock-free with two threads.
-  bool batch = req.op == IkcOp::kRevokeBatchReq;
-  if (revoke_threads_busy_ >= kMaxRevokeThreads) {
-    stats_.revoke_reqs_queued++;
-    revoke_queue_.push_back([this, ep, msg, req, batch] {
-      if (batch) {
-        ProcessRevokeBatch(ep, msg, req);
-      } else {
-        ProcessRevokeReq(ep, msg, req);
-      }
-    });
-    return;
-  }
-  revoke_threads_busy_++;
-  if (batch) {
-    ProcessRevokeBatch(ep, msg, req);
-  } else {
-    ProcessRevokeReq(ep, msg, req);
-  }
-  revoke_threads_busy_--;
-  DrainRevokeQueue();
-}
-
-void Kernel::DrainRevokeQueue() {
-  while (!revoke_queue_.empty() && revoke_threads_busy_ < kMaxRevokeThreads) {
-    auto fn = std::move(revoke_queue_.front());
-    revoke_queue_.pop_front();
-    revoke_threads_busy_++;
-    fn();
-    revoke_threads_busy_--;
-  }
-}
-
-void Kernel::ProcessRevokeReq(EpId ep, Message msg, const IkcMsg& req) {
-  // May run deferred from the revoke queue, outside the dispatch that
-  // opened the handler span — restore the context from the handling entry
-  // so fanned-out REVOKE_REQs stay linked.
-  TraceCtx saved_trace = cur_trace_;
-  if (auto hit = ikc_handling_.find({msg.src_node, req.token}); hit != ikc_handling_.end()) {
-    cur_trace_ = TraceCtx{hit->second.trace, hit->second.span};
-  }
-  Capability* cap = caps_.Find(req.cap);
-  if (cap == nullptr) {
-    // Already revoked by an overlapping operation — the subtree is gone.
-    auto reply = NewMsg<IkcReply>();
-    reply->token = req.token;
-    reply->err = ErrCode::kOk;
-    Emit(Charge(t_.ikc_dispatch + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-    cur_trace_ = saved_trace;
-    return;
-  }
-  if (cap->marked()) {
-    // A running revocation covers this capability; reply when it finished.
-    uint64_t token = req.token;
-    cap->task()->on_complete.push_back([this, ep, msg, token] {
-      auto reply = NewMsg<IkcReply>();
-      reply->token = token;
-      reply->err = ErrCode::kOk;
-      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-    });
-    Charge(t_.ikc_dispatch);
-    cur_trace_ = saved_trace;
-    return;
-  }
-
-  RevokeTask* task = NewRevokeTask(cap->key());
-  task->initiator = false;
-  task->reply_recv_ep = ep;
-  task->reply_msg = msg;
-  task->req_token = req.token;
-  Cycles cost = t_.ikc_dispatch + MarkPass(cap, task);
-  cost += FlushRevokeRequests(task);
-  Charge(cost);
-  CheckRevokeComplete(task);
-  cur_trace_ = saved_trace;
-}
-
-void Kernel::ProcessRevokeBatch(EpId ep, Message msg, const IkcMsg& req) {
-  // Batched variant: revoke every key, reply once when all of them —
-  // including their remote subtrees — are gone. Each key runs as an
-  // admin-style sub-task feeding a shared countdown.
-  TraceCtx saved_trace = cur_trace_;
-  if (auto hit = ikc_handling_.find({msg.src_node, req.token}); hit != ikc_handling_.end()) {
-    cur_trace_ = TraceCtx{hit->second.trace, hit->second.span};
-  }
-  auto remaining = std::make_shared<uint32_t>(static_cast<uint32_t>(req.caps.size()) + 1);
-  uint64_t token = req.token;
-  auto maybe_reply = [this, remaining, ep, msg, token] {
-    if (--*remaining != 0) {
-      return;
-    }
-    auto reply = NewMsg<IkcReply>();
-    reply->token = token;
-    reply->err = ErrCode::kOk;
-    Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-  };
-  Cycles cost = t_.ikc_dispatch;
-  for (DdlKey key : req.caps) {
-    Capability* cap = caps_.Find(key);
-    if (cap == nullptr) {
-      KernelId owner = KernelOf(key);
-      if (owner != config_.id) {
-        // This key's partition migrated away after the batch was
-        // assembled: relay a single REVOKE_REQ to the current owner and
-        // fold its completion into the batch countdown.
-        stats_.ikc_forwarded++;
-        auto fwd = NewMsg<IkcMsg>();
-        fwd->op = IkcOp::kRevokeReq;
-        fwd->cap = key;
-        cost += DdlDecodeCost(key) + IkcSendCost(owner, IkcOp::kRevokeReq);
-        SendIkc(owner, fwd, [maybe_reply](const IkcReply&) { maybe_reply(); });
-        continue;
-      }
-      maybe_reply();
-      continue;
-    }
-    if (cap->marked()) {
-      cap->task()->on_complete.push_back(maybe_reply);
-      continue;
-    }
-    RevokeTask* task = NewRevokeTask(key);
-    task->admin = true;
-    task->admin_done = maybe_reply;
-    cost += MarkPass(cap, task);
-    cost += FlushRevokeRequests(task);
-    CheckRevokeComplete(task);
-  }
-  Charge(cost);
-  maybe_reply();
-  cur_trace_ = saved_trace;
-}
-
-// ---------------------------------------------------------------------------
-// VPE kill (admin) — revokes everything the VPE holds
-// ---------------------------------------------------------------------------
-
-void Kernel::AdminKillVpe(VpeId vpe, std::function<void()> done) {
-  VpeState* v = vpes_.Find(vpe);
-  CHECK(v != nullptr);
-  CHECK(!v->migrating) << "cannot kill VPE " << vpe << " while it is migrating";
-  v->alive = false;
-
-  // Snapshot the selectors: revocations mutate the table.
-  std::vector<DdlKey> roots;
-  roots.reserve(v->table.size());
-  v->table.ForEach([&roots](CapSel, DdlKey key) { roots.push_back(key); });
-  auto remaining = std::make_shared<uint32_t>(static_cast<uint32_t>(roots.size()) + 1);
-  auto maybe_done = [remaining, done]() {
-    if (--*remaining == 0 && done) {
-      done();
-    }
-  };
-  for (DdlKey key : roots) {
-    Capability* cap = caps_.Find(key);
-    if (cap == nullptr) {
-      maybe_done();
-      continue;
-    }
-    if (cap->marked()) {
-      cap->task()->on_complete.push_back(maybe_done);
-      continue;
-    }
-    RevokeTask* task = NewRevokeTask(cap->key());
-    task->admin = true;
-    task->admin_done = maybe_done;
-    task->parent_unlink = cap->parent();
-    Cycles cost = t_.revoke_entry + MarkPass(cap, task);
-    cost += FlushRevokeRequests(task);
-    Charge(cost);
-    CheckRevokeComplete(task);
-  }
-  maybe_done();
-}
-
-// ---------------------------------------------------------------------------
-// PE migration — dynamic PE-group membership (beyond the paper)
-//
-// The handoff has three phases (see MigrateTask in kernel.h). Correctness
-// across the handoff leans on two existing invariants: the Pointless/mark
-// machinery (frozen VPEs deny exchanges with a retryable error, in-flight
-// revocations are drained before packing) and pairwise-FIFO kernel channels
-// (a REVOKE_REQ re-routed at the destination can never overtake the
-// MIGRATE_VPE snapshot, and once a peer acknowledged EPOCH_UPDATE no stale
-// request from it can still be in flight).
-// ---------------------------------------------------------------------------
-
-KernelId Kernel::MigratingTo(NodeId pe) const {
-  for (const auto& [id, task] : migrate_tasks_) {
-    if (task->pe == pe && task->phase == MigrateTask::Phase::kTransfer) {
-      return task->dst;
-    }
-  }
-  return kInvalidKernel;
-}
-
-NodeId Kernel::RoutingPartition(const IkcMsg& req) {
-  switch (req.op) {
-    case IkcOp::kObtainReq:
-      return req.cap.IsNull() ? req.peer : req.cap.pe();
-    case IkcOp::kOpenSessionReq:
-      return req.cap.pe();
-    case IkcOp::kDelegateReq:
-      return req.peer;
-    case IkcOp::kDelegateAck:
-      return req.child.pe();
-    case IkcOp::kRevokeReq:
-      return req.cap.pe();
-    case IkcOp::kOrphanNotify:
-    case IkcOp::kChildDrop:
-      return req.parent.pe();
-    default:
-      // Not capability-targeted (hello, shutdown, announce, migration
-      // control traffic) — or per-key routed (revoke batches).
-      return kInvalidNode;
-  }
-}
-
-bool Kernel::MaybeForwardIkc(EpId ep, const Message& msg, const IkcMsg& req) {
-  NodeId part = RoutingPartition(req);
-  // Requests for a partition whose snapshot is in flight park at the source
-  // and re-dispatch once the destination confirmed the takeover.
-  for (auto& [id, task] : migrate_tasks_) {
-    (void)id;
-    if (task->phase != MigrateTask::Phase::kTransfer) {
-      continue;
-    }
-    bool hit = part == task->pe;
-    if (req.op == IkcOp::kRevokeBatchReq) {
-      for (DdlKey key : req.caps) {
-        hit = hit || key.pe() == task->pe;
-      }
-    }
-    if (hit) {
-      task->parked.push_back(MigrateTask::ParkedIkc{ep, msg, req});
-      return true;
-    }
-  }
-  if (part == kInvalidNode) {
-    return false;
-  }
-  KernelId owner = config_.membership.KernelOf(part);
-  if (owner == config_.id) {
-    return false;
-  }
-  // The sender's membership view is one epoch behind: the request must
-  // reach the partition's current owner, so stale lookups stay correct for
-  // the settle round.
-  stats_.ikc_forwarded++;
-  if (!config_.cap_batching) {
-    // Legacy proxy: forward with a fresh token and relay the reply back
-    // hop by hop.
-    auto fwd = NewMsg<IkcMsg>(req);
-    fwd->token = 0;  // fresh token for the forward leg
-    uint64_t orig_token = req.token;
-    Charge(t_.ddl_decode + t_.ikc_send);
-    SendIkc(owner, fwd, [this, ep, msg, orig_token](const IkcReply& r) {
-      auto reply = NewMsg<IkcReply>(r);
-      reply->token = orig_token;
-      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-    });
-    return true;
-  }
-  // Pipelined ancestry walk (--cap-batching): relay the request onward with
-  // the origin's token and reply address intact — the final owner answers
-  // the origin directly, cutting one NoC round trip per stale hop. A
-  // fire-and-forget kRelayNotice tells the origin where its request went,
-  // so fault tolerance still covers the re-keyed hop.
-  if (peer_failed_.at(owner) != 0) {
-    // The current owner is quorum-confirmed dead: short-circuit with the
-    // same kUnreachable a recovery abort at the origin would produce.
-    // `msg` is relay-rewritten for multi-hop walks, so this reaches the
-    // origin, not the previous hop.
-    auto reply = NewMsg<IkcReply>();
-    reply->token = req.token;
-    reply->err = ErrCode::kUnreachable;
-    Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-    return true;
-  }
-  stats_.ikc_relays_pipelined++;
-  auto fwd = NewMsg<IkcMsg>(req);
-  if (fwd->relay_node == kInvalidNode) {
-    // First hop: record the origin's reply address once; later hops keep it.
-    fwd->relay_node = msg.src_node;
-    fwd->relay_ep = msg.reply_ep;
-  }
-  fwd->relay_hops++;
-  auto notice = NewMsg<IkcMsg>();
-  notice->op = IkcOp::kRelayNotice;
-  notice->node = part;
-  notice->new_owner = owner;
-  notice->epoch = config_.membership.PeEpoch(part);
-  notice->relay_token = req.token;
-  notice->relay_hops = fwd->relay_hops;
-  bool self_notice = req.src_kernel == config_.id;
-  Cycles cost = DdlDecodeCostVpe(part) + IkcSendCost(owner, req.op);
-  if (!self_notice && peer_failed_.at(req.src_kernel) == 0) {
-    cost += IkcSendCost(req.src_kernel, IkcOp::kRelayNotice);
-  }
-  Charge(cost);
-  SendIkcRelay(owner, fwd);
-  if (self_notice) {
-    // The walk looped back through its own origin (this kernel's view of
-    // the partition is newer than the forwarder's): a kernel cannot IKC
-    // itself, so apply the notice directly.
-    ApplyRelayNotice(*notice);
-  } else if (peer_failed_.at(req.src_kernel) == 0) {
-    SendIkc(req.src_kernel, notice, [](const IkcReply&) {});
-  }
-  return true;
-}
-
-void Kernel::ApplyRelayNotice(const IkcMsg& notice) {
-  // Learned-owner hint ahead of the settle broadcast; epoch-gated (ddl.h
-  // Apply), so a stale notice can never roll the membership back.
-  ApplyMembershipUpdate(notice.node, notice.new_owner, notice.epoch);
-  auto it = ikcs_.find(notice.relay_token);
-  if (it == ikcs_.end()) {
-    return;  // the direct reply already arrived, or recovery aborted it
-  }
-  PendingIkc& pending = it->second;
-  if (notice.relay_hops <= pending.relay_hops) {
-    // Notices from different forwarders are not FIFO relative to each
-    // other; hop counts order them — a late notice from an earlier hop
-    // must not re-key the pending away from the newest known location.
-    return;
-  }
-  pending.relay_hops = notice.relay_hops;
-  pending.peer = notice.new_owner;
-  if (peer_failed_.at(notice.new_owner) != 0) {
-    // Re-keyed onto a kernel that already failed here: the relayed request
-    // died with it. Complete the call exactly like a recovery abort; if
-    // the request was in fact dispatched before the crash, the direct
-    // reply is tolerated as a late reply (see OnIkc).
-    auto cb = std::move(pending.cb);
-    uint64_t token = notice.relay_token;
-    ikcs_.erase(it);
-    stats_.ft_ikcs_aborted++;
-    IkcReply reply;
-    reply.token = token;
-    reply.err = ErrCode::kUnreachable;
-    if (cb) {
-      cb(reply);
-    }
-  }
-}
-
-bool Kernel::MigrationBlocked(NodeId pe) const {
-  for (const auto& [token, op] : obtains_) {
-    (void)token;
-    if (op.client == pe) {
-      return true;
-    }
-  }
-  for (const auto& [token, op] : delegates_) {
-    (void)token;
-    if (op.client == pe) {
-      return true;
-    }
-  }
-  for (const auto& [raw, parked] : parked_delegates_) {
-    if (parked.receiver == pe || DdlKey(raw).pe() == pe) {
-      return true;
-    }
-  }
-  for (const auto& [token, ask] : asks_) {
-    (void)token;
-    if (ask.node == pe) {
-      return true;  // an exchange-ask to the PE is outstanding
-    }
-  }
-  if (!revoke_queue_.empty()) {
-    return true;  // queued revocations could still touch the partition
-  }
-  const VpeState& vpe = vpes_.At(pe);
-  // An in-flight revocation holding part of the subtree blocks the handoff.
-  return vpe.table.Any([&](CapSel, DdlKey key) {
-    const Capability* cap = caps_.Find(key);
-    return cap != nullptr && cap->marked();
-  });
-}
-
-void Kernel::AdminMigratePe(NodeId pe, KernelId dst, std::function<void(ErrCode)> done) {
-  VpeState* v = vpes_.Find(pe);
-  CHECK(v != nullptr) << "kernel " << config_.id << " does not manage PE " << pe;
-  if (shutting_down_ || !v->alive) {
-    if (done) {
-      done(ErrCode::kAborted);
-    }
-    return;
-  }
-  if (v->migrating || dst == config_.id || dst >= config_.kernel_nodes.size() ||
-      peer_down_.at(dst) || peer_failed_.at(dst) != 0) {
-    if (done) {
-      done(ErrCode::kInvalidArgs);
-    }
-    return;
-  }
-
-  v->migrating = true;
-  auto task = std::make_unique<MigrateTask>();
-  task->id = next_token_++;
-  task->pe = pe;
-  task->dst = dst;
-  task->done = std::move(done);
-  if (obs::Tracer* tr = tracer(); tr != nullptr) {
-    // Migrations are platform-initiated: they root their own trace.
-    task->trace = tr->NewTraceId(pe_->node());
-    task->trace_span = tr->NextSpanId(pe_->node());
-    task->trace_start = pe_->sim()->Now();
-  }
-  uint64_t id = task->id;
-  migrate_tasks_[id] = std::move(task);
-  // Freeze bookkeeping, then poll until the moving partition quiesced.
-  Charge(t_.migrate_freeze);
-  pe_->sim()->Schedule(t_.migrate_quiesce_poll, [this, id] { PollMigrateQuiesce(id); });
-}
-
-void Kernel::PollMigrateQuiesce(uint64_t task_id) {
-  auto it = migrate_tasks_.find(task_id);
-  CHECK(it != migrate_tasks_.end());
-  MigrateTask* task = it->second.get();
-  if (MigrationBlocked(task->pe)) {
-    task->quiesce_polls++;
-    CHECK_LT(task->quiesce_polls, 1'000'000u) << "migration quiesce never drained";
-    pe_->sim()->Schedule(t_.migrate_quiesce_poll,
-                         [this, task_id] { PollMigrateQuiesce(task_id); });
-    return;
-  }
-  StartMigrateTransfer(task_id);
-}
-
-void Kernel::StartMigrateTransfer(uint64_t task_id) {
-  auto it = migrate_tasks_.find(task_id);
-  CHECK(it != migrate_tasks_.end());
-  MigrateTask* task = it->second.get();
-  task->phase = MigrateTask::Phase::kTransfer;
-  // The transfer IKC (and, via the pending restore, the settle round's
-  // EPOCH_UPDATEs) nest under the migration span.
-  cur_trace_ = TraceCtx{task->trace, task->trace_span};
-
-  VpeState& vpe = vpes_.At(task->pe);
-  auto payload = std::make_shared<MigratePayload>();
-  payload->vpe = vpe.id;
-  payload->node = vpe.node;
-  payload->alive = vpe.alive;
-  payload->is_service = vpe.is_service;
-  payload->next_sel = vpe.next_sel;
-  payload->next_obj = next_obj_;
-  payload->caps.reserve(vpe.table.size());
-  vpe.table.ForEach([&](CapSel sel, DdlKey key) {
-    Capability* cap = caps_.Find(key);
-    CHECK(cap != nullptr);
-    CHECK(!cap->marked()) << "quiesce left a marked capability in the partition";
-    MigratedCap record;
-    record.key = key;
-    record.type = cap->type();
-    record.sel = sel;
-    record.parent = cap->parent();
-    record.children = cap->children();
-    record.payload = cap->payload();
-    record.activated = cap->activated();
-    record.activated_ep = cap->activated_ep();
-    payload->caps.push_back(std::move(record));
-  });
-  stats_.caps_migrated += payload->caps.size();
-  // Mint the handoff's epoch now, apply it in FinishMigrateTransfer once
-  // the destination confirmed (a refused transfer must not bump anything).
-  // Strictly greater than this partition's last applied epoch, so per-PE
-  // gating at every peer makes the newest owner win (see ddl.h Apply).
-  task->epoch = config_.membership.Epoch() + 1;
-
-  auto msg = NewMsg<IkcMsg>();
-  msg->op = IkcOp::kMigrateVpe;
-  msg->node = task->pe;
-  msg->new_owner = task->dst;
-  msg->epoch = task->epoch;
-  msg->migrate = payload;
-  Charge(static_cast<Cycles>(payload->caps.size()) * t_.migrate_pack_per_cap + t_.ikc_send);
-  SendIkc(task->dst, msg,
-          [this, task_id](const IkcReply& reply) { FinishMigrateTransfer(task_id, reply); });
-  cur_trace_ = TraceCtx{};
-}
-
-void Kernel::OnMigrateVpe(EpId ep, const Message& msg, const IkcMsg& req) {
-  CHECK(req.migrate != nullptr);
-  CHECK_EQ(req.new_owner, config_.id);
-  const MigratePayload& mp = *req.migrate;
-  auto reply = NewMsg<IkcReply>();
-  reply->token = req.token;
-  if (shutting_down_ || vpes_.size() >= kMaxVpesPerKernel) {
-    reply->err = shutting_down_ ? ErrCode::kAborted : ErrCode::kInvalidArgs;
-    Emit(Charge(t_.ikc_dispatch + t_.ikc_send),
-         [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-    return;
-  }
-
-  VpeState vpe;
-  vpe.id = mp.vpe;
-  vpe.node = mp.node;
-  vpe.alive = mp.alive;
-  vpe.is_service = mp.is_service;
-  vpe.migrating = false;
-  vpe.next_sel = mp.next_sel;
-  VpeState* v = vpes_.Insert(std::move(vpe));
-  CHECK(v != nullptr) << "kernel " << config_.id << " already manages PE " << mp.vpe;
-  // The PE may have been migrated away from here earlier and is now coming
-  // back; it is no longer "away", and a later death must report kNoSuchVpe
-  // instead of the retryable kVpeMigrating.
-  migrated_away_.erase(mp.vpe);
-  for (const MigratedCap& record : mp.caps) {
-    Capability* cap = caps_.Create(record.key, record.type, mp.vpe, record.sel);
-    cap->payload() = record.payload;
-    cap->set_parent(record.parent);
-    for (DdlKey child : record.children) {
-      cap->AddChild(child);
-    }
-    if (record.activated) {
-      cap->SetActivated(record.activated_ep);
-    }
-    v->table.Set(record.sel, record.key);
-  }
-  // Keep allocating collision-free object ids in the moved partition.
-  next_obj_ = std::max(next_obj_, mp.next_obj);
-  stats_.caps_migrated += mp.caps.size();
-  // This kernel owns the partition from here on; the source and the other
-  // kernels converge on the same epoch through the settle broadcast.
-  ApplyMembershipUpdate(mp.node, config_.id, req.epoch);
-
-  Charge(t_.ikc_dispatch + static_cast<Cycles>(mp.caps.size()) * t_.migrate_install_per_cap +
-             t_.epoch_apply + t_.ep_config);
-  // Retarget the PE's syscall send endpoint at this kernel, then confirm
-  // the takeover — the moved VPE's retried syscalls land here from now on.
-  EpId syscall_ep = kEpSyscall0 + (mp.vpe % kNumSyscallEps);
-  pe_->dtu().ConfigureRemoteSend(mp.node, user_ep::kSyscallSend, pe_->node(), syscall_ep,
-                                 /*credits=*/1, /*label=*/0, [this, ep, msg, reply] {
-                                   Emit(Charge(t_.ikc_send),
-                                        [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-                                 });
-}
-
-void Kernel::FinishMigrateTransfer(uint64_t task_id, const IkcReply& reply) {
-  auto it = migrate_tasks_.find(task_id);
-  CHECK(it != migrate_tasks_.end());
-  MigrateTask* task = it->second.get();
-  if (reply.err != ErrCode::kOk) {
-    // The destination refused; unfreeze and report. Nothing moved, so the
-    // deferred unlinks now apply to the retained local copies.
-    vpes_.At(task->pe).migrating = false;
-    task->phase = MigrateTask::Phase::kQuiesce;
-    std::vector<std::function<void()>> unlinks = std::move(task->deferred_unlinks);
-    task->deferred_unlinks.clear();
-    for (auto& fn : unlinks) {
-      fn();
-    }
-    for (MigrateTask::ParkedIkc& p : task->parked) {
-      DispatchIkcRequest(p.ep, p.msg, p.req);
-    }
-    task->parked.clear();
-    CompleteMigration(task_id, reply.err);
-    return;
-  }
-
-  // The destination owns the partition now: drop the local copy. The
-  // records moved; the capability tree itself did not change, so no
-  // parent/child unlinking happens here.
-  VpeState& vpe = vpes_.At(task->pe);
-  vpe.table.ForEach([this](CapSel, DdlKey key) { caps_.Erase(key); });
-  vpes_.Erase(task->pe);
-  migrated_away_[task->pe] = task->dst;
-  ApplyMembershipUpdate(task->pe, task->dst, task->epoch);
-  Charge(t_.ikc_reply_handle + t_.epoch_apply);
-
-  // Leave kTransfer before releasing the parked requests — MaybeForwardIkc
-  // parks for in-transfer partitions, and these must forward now instead.
-  task->phase = MigrateTask::Phase::kSettle;
-
-  // Unlinks deferred during the transfer re-route to the new owner (the
-  // membership update above makes KernelOf resolve to the destination).
-  std::vector<std::function<void()>> unlinks = std::move(task->deferred_unlinks);
-  task->deferred_unlinks.clear();
-  for (auto& fn : unlinks) {
-    fn();
-  }
-
-  // Release requests parked during the transfer; the updated membership
-  // forwards them to the new owner.
-  std::vector<MigrateTask::ParkedIkc> parked = std::move(task->parked);
-  task->parked.clear();
-  for (MigrateTask::ParkedIkc& p : parked) {
-    if (!MaybeForwardIkc(p.ep, p.msg, p.req)) {
-      DispatchIkcRequest(p.ep, p.msg, p.req);
-    }
-  }
-
-  // Settle round: broadcast the epoch so every kernel re-routes directly.
-  for (KernelId peer = 0; peer < config_.kernel_nodes.size(); ++peer) {
-    if (peer == config_.id || peer_down_.at(peer)) {
-      continue;
-    }
-    task->outstanding++;
-    auto update = NewMsg<IkcMsg>();
-    update->op = IkcOp::kEpochUpdate;
-    update->node = task->pe;
-    update->new_owner = task->dst;
-    update->epoch = task->epoch;
-    Charge(t_.ikc_send);
-    SendIkc(peer, update, [this, task_id](const IkcReply&) {
-      auto tit = migrate_tasks_.find(task_id);
-      CHECK(tit != migrate_tasks_.end());
-      MigrateTask* t = tit->second.get();
-      CHECK_GT(t->outstanding, 0u);
-      if (--t->outstanding == 0) {
-        CompleteMigration(task_id, ErrCode::kOk);
-      }
-    });
-  }
-  if (task->outstanding == 0) {
-    CompleteMigration(task_id, ErrCode::kOk);
-  }
-}
-
-void Kernel::CompleteMigration(uint64_t task_id, ErrCode err) {
-  auto it = migrate_tasks_.find(task_id);
-  CHECK(it != migrate_tasks_.end());
-  MigrateTask* task = it->second.get();
-  if (err == ErrCode::kOk) {
-    stats_.migrations++;
-    LOG_INFO(kTag) << "kernel " << config_.id << " migrated PE " << task->pe << " to kernel "
-                   << task->dst << " (epoch " << task->epoch << ")";
-  }
-  if (task->trace != 0) {
-    RecordSpan(tracer(), task->trace, task->trace_span, /*parent=*/0, task->trace_start,
-               pe_->sim()->Now(), pe_->node(), obs::SpanKind::kMigration,
-               static_cast<uint16_t>(task->pe));
-  }
-  auto done = std::move(task->done);
-  migrate_tasks_.erase(it);
-  if (done) {
-    done(err);
-  }
-}
-
-void Kernel::ApplyMembershipUpdate(NodeId pe, KernelId new_owner, uint64_t epoch) {
-  config_.membership.Apply(pe, new_owner, epoch);
-  // Ownership changed (or at least may have): drop the remote-DDL cache.
-  // The epoch guard inside the cache covers table-wide bumps; this covers
-  // learned-owner hints applied without one visible here.
-  ddl_cache_.Invalidate();
-  // Sessions already connected to a service on the moved PE keep working
-  // (the PE itself did not move); new OPEN_SESSION requests must route to
-  // the kernel that now manages it.
-  for (auto& [name, entries] : services_) {
-    (void)name;
-    for (ServiceEntry& entry : entries) {
-      if (entry.node == pe) {
-        entry.kernel = new_owner;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Shutdown (IKC functional group 1)
 // ---------------------------------------------------------------------------
 
@@ -1964,443 +515,6 @@ void Kernel::AdminShutdown(std::function<void()> done) {
     SendIkc(peer, msg, [maybe_done](const IkcReply&) { maybe_done(); });
   }
   maybe_done();
-}
-
-// ---------------------------------------------------------------------------
-// Fault tolerance (src/ft) — injection, heartbeat detection, quorum verdict,
-// and distributed capability-tree recovery
-// ---------------------------------------------------------------------------
-
-void Kernel::AdminKill() {
-  CHECK(!dead_) << "kernel " << config_.id << " killed twice";
-  dead_ = true;
-  pe_->dtu().Kill();
-  LOG_INFO(kTag) << "kernel " << config_.id << " KILLED (fault injection)";
-}
-
-void Kernel::AdminStartFailureDetector(const FtConfig& ft) {
-  CHECK(!dead_);
-  CHECK_GE(ft.heartbeat_timeout, ft.heartbeat_period);
-  // A monitor window that ends before the second tick can never time a
-  // peer out — catch the forgotten-monitor_until misuse loudly instead of
-  // silently never detecting anything.
-  CHECK_GT(ft.monitor_until, pe_->sim()->Now() + ft.heartbeat_period)
-      << "failure detector armed with an already-expired monitor window";
-  ft_ = ft;
-  ft_.enabled = true;
-  Cycles now = pe_->sim()->Now();
-  for (KernelId p = 0; p < hb_last_seen_.size(); ++p) {
-    hb_last_seen_[p] = now;
-  }
-  pe_->sim()->Schedule(ft_.heartbeat_period, [this] { HeartbeatTick(); });
-}
-
-FtVerdict Kernel::ft_verdict(KernelId peer) const {
-  if (peer_failed_.at(peer) != 0) {
-    return FtVerdict::kFailed;
-  }
-  if (ft_refused_.at(peer) != 0) {
-    return FtVerdict::kNoQuorum;
-  }
-  if (ft_suspected_.at(peer) != 0) {
-    return FtVerdict::kSuspected;
-  }
-  return FtVerdict::kAlive;
-}
-
-void Kernel::OnHeartbeat(EpId ep, const Message& msg) {
-  const HeartbeatMsg* hb = msg.As<HeartbeatMsg>();
-  CHECK(hb != nullptr) << "non-heartbeat message on heartbeat EP";
-  if (!msg.is_reply) {
-    // Ping: free the slot and answer immediately. The reply needs no slot
-    // (deferred-reply path) and no IKC credit, so even a kernel whose flow
-    // window towards us is exhausted still proves its liveness.
-    pe_->dtu().Ack(ep, msg);
-    Charge(t_.hb_process);
-    auto ack = NewMsg<HeartbeatMsg>();
-    ack->from = config_.id;
-    ack->ack = true;
-    pe_->dtu().SendDeferredReply(msg, ack);
-    return;
-  }
-  stats_.hb_acked++;
-  hb_last_seen_.at(hb->from) = pe_->sim()->Now();
-}
-
-void Kernel::HeartbeatTick() {
-  if (dead_ || shutting_down_ || !ft_.enabled) {
-    return;  // a crashed kernel's detector dies with it
-  }
-  Cycles now = pe_->sim()->Now();
-  for (KernelId p = 0; p < config_.kernel_nodes.size(); ++p) {
-    if (p == config_.id || peer_failed_[p] != 0 || peer_down_.at(p)) {
-      continue;
-    }
-    if (ft_suspected_[p] == 0 && now - hb_last_seen_[p] > ft_.heartbeat_timeout) {
-      RaiseSuspicion(p);
-    }
-    if (ft_suspected_[p] != 0) {
-      continue;  // no point pinging a peer we already consider silent
-    }
-    stats_.hb_sent++;
-    Charge(t_.hb_process);
-    auto ping = NewMsg<HeartbeatMsg>();
-    ping->from = config_.id;
-    pe_->dtu().SendTo(config_.kernel_nodes.at(p), kEpHeartbeat, ping, kEpHeartbeat);
-  }
-  SendSuspectVotes();
-  if (now + ft_.heartbeat_period <= ft_.monitor_until) {
-    pe_->sim()->Schedule(ft_.heartbeat_period, [this] { HeartbeatTick(); });
-  }
-}
-
-void Kernel::RaiseSuspicion(KernelId peer) {
-  if (ft_suspected_.at(peer) != 0) {
-    return;
-  }
-  ft_suspected_[peer] = 1;
-  stats_.ft_suspicions++;
-  Charge(t_.ft_suspect);
-  LOG_INFO(kTag) << "kernel " << config_.id << " suspects kernel " << peer << " (silent for > "
-                 << ft_.heartbeat_timeout << " cycles)";
-}
-
-KernelId Kernel::FtLeader() const {
-  for (KernelId k = 0; k < config_.kernel_nodes.size(); ++k) {
-    if (ft_suspected_[k] == 0 && peer_failed_[k] == 0 && !peer_down_.at(k)) {
-      return k;
-    }
-  }
-  return config_.id;  // everyone else is unreachable; we answer to ourselves
-}
-
-void Kernel::SendSuspectVotes() {
-  // Votes are re-sent every tick until a verdict (or refusal) lands: the
-  // leader's identity can shift while suspicion spreads, and the tally side
-  // deduplicates by voter bit, so repetition is cheap and loss-tolerant.
-  for (KernelId d = 0; d < config_.kernel_nodes.size(); ++d) {
-    if (ft_suspected_[d] == 0 || peer_failed_[d] != 0 || ft_refused_[d] != 0) {
-      continue;
-    }
-    KernelId leader = FtLeader();
-    if (leader == config_.id) {
-      RecordSuspectVote(d, config_.id);
-      continue;
-    }
-    Charge(t_.ikc_send);
-    auto vote = NewMsg<IkcMsg>();
-    vote->op = IkcOp::kSuspectKernel;
-    vote->suspect = d;
-    SendIkc(leader, vote, [](const IkcReply&) {});
-  }
-}
-
-void Kernel::RecordSuspectVote(KernelId dead, KernelId voter) {
-  if (dead >= peer_failed_.size() || peer_failed_[dead] != 0) {
-    return;  // verdict already applied
-  }
-  uint64_t bit = 1ull << voter;
-  if ((ft_vote_bits_[dead] & bit) == 0) {
-    ft_vote_bits_[dead] |= bit;
-    stats_.ft_votes++;
-  }
-  uint32_t total = static_cast<uint32_t>(config_.kernel_nodes.size());
-  uint32_t quorum = total / 2 + 1;
-  uint32_t votes = static_cast<uint32_t>(std::popcount(ft_vote_bits_[dead]));
-  if (votes >= quorum) {
-    StartFailover(dead);
-    return;
-  }
-  // Refusal check: once every configured kernel has either voted or is
-  // itself unreachable from here, no majority can ever be assembled —
-  // a surviving minority must not guess (split-brain). Record the refusal
-  // instead of recovering.
-  uint64_t covered = ft_vote_bits_[dead];
-  for (KernelId k = 0; k < total; ++k) {
-    if (k == dead || ft_suspected_[k] != 0 || peer_failed_[k] != 0 || peer_down_.at(k)) {
-      covered |= 1ull << k;
-    }
-  }
-  uint64_t all = total >= 64 ? ~0ull : (1ull << total) - 1;
-  if (covered == all && ft_refused_[dead] == 0) {
-    ft_refused_[dead] = 1;
-    stats_.ft_refusals++;
-    LOG_WARN(kTag) << "kernel " << config_.id << " refuses recovery of kernel " << dead << ": "
-                   << votes << " votes < quorum " << quorum << " of " << total << " kernels";
-  }
-}
-
-void Kernel::StartFailover(KernelId dead) {
-  if (peer_failed_.at(dead) != 0) {
-    return;
-  }
-  // One new epoch covers every reassigned partition of the takeover plan;
-  // per-PE epoch gating at the followers keeps late stale broadcasts from
-  // rolling any of them back (see ddl.h).
-  uint64_t epoch = config_.membership.Epoch() + 1;
-  LOG_INFO(kTag) << "kernel " << config_.id << " declares kernel " << dead
-                 << " FAILED (quorum reached), recovery epoch " << epoch;
-  // Snapshot the plan this decree stands for before recovery rewrites the
-  // membership (afterwards no partition maps to `dead` any more).
-  std::vector<TakeoverAssignment> plan = PlanTakeover(
-      config_.membership, dead, static_cast<uint32_t>(config_.kernel_nodes.size()), peer_failed_);
-  RecoverFromFailure(dead, epoch);
-  for (KernelId p = 0; p < config_.kernel_nodes.size(); ++p) {
-    if (p == config_.id || peer_failed_[p] != 0 || peer_down_.at(p)) {
-      continue;
-    }
-    Charge(t_.ikc_send);
-    auto decree = NewMsg<IkcMsg>();
-    decree->op = IkcOp::kFailoverDecree;
-    decree->suspect = dead;
-    decree->epoch = epoch;
-    SendIkc(p, decree, [](const IkcReply&) {});
-  }
-  if (config_.on_failover) {
-    config_.on_failover(dead, epoch, plan);
-  }
-}
-
-void Kernel::RecoverFromFailure(KernelId dead, uint64_t epoch) {
-  if (dead >= peer_failed_.size() || peer_failed_[dead] != 0) {
-    return;  // idempotent: decree may race a local quorum decision
-  }
-  peer_failed_[dead] = 1;
-  ft_suspected_[dead] = 1;
-  peer_down_.at(dead) = true;
-  stats_.ft_failovers++;
-  ft_verdict_at_ = pe_->sim()->Now();
-  TraceCtx saved_trace = cur_trace_;
-  if (obs::Tracer* tr = tracer(); tr != nullptr) {
-    if (ft_trace_ == 0) {
-      // Recovery roots its own trace; spans until the pending counter
-      // drains back to zero (FtRecoveryStepDone records it).
-      ft_trace_ = tr->NewTraceId(pe_->node());
-      ft_span_ = tr->NextSpanId(pe_->node());
-      ft_trace_start_ = pe_->sim()->Now();
-    }
-    cur_trace_ = TraceCtx{ft_trace_, ft_span_};
-  }
-  // The takeover below reassigns every partition of the dead range; the
-  // remote-DDL cache must not serve hits across that (the Apply calls here
-  // bypass ApplyMembershipUpdate's invalidation).
-  ddl_cache_.Invalidate();
-
-  // The dead group's services are unreachable; stop routing sessions there.
-  for (auto& [name, entries] : services_) {
-    (void)name;
-    std::erase_if(entries, [&](const ServiceEntry& e) { return e.kernel == dead; });
-  }
-
-  // 1. DDL range takeover: every survivor computes the identical plan from
-  // its replicated membership table, so no negotiation is needed — the
-  // quorum leader only minted the epoch.
-  std::vector<TakeoverAssignment> plan = PlanTakeover(
-      config_.membership, dead, static_cast<uint32_t>(config_.kernel_nodes.size()), peer_failed_);
-  std::vector<uint8_t> dead_part(config_.membership.PeCount(), 0);
-  Cycles cost = t_.ft_decree;
-  for (const TakeoverAssignment& a : plan) {
-    dead_part.at(a.pe) = 1;
-    config_.membership.Apply(a.pe, a.new_owner, epoch);
-    cost += t_.epoch_apply;
-    if (a.new_owner == config_.id) {
-      cost += t_.ft_takeover_per_pe;
-      AdoptPe(a.pe);
-    }
-  }
-
-  // 2. Reconstruct the capability tree from the surviving halves: this
-  // kernel knows exactly which of its capabilities were obtained from or
-  // delegated to the dead kernel — edges into the dead range. Child edges
-  // are pruned (the children's records died with their kernel); a local
-  // capability whose parent lived in the dead range roots an orphaned
-  // subtree and is collected for revocation. Key-sorted order keeps the
-  // recovery bit-identical across reruns and standard libraries.
-  std::vector<Capability*> pruned;
-  std::vector<DdlKey> orphan_roots;
-  for (const auto& [key, cap] : caps_.all()) {
-    cost += t_.ft_scan_per_cap;
-    for (DdlKey child : cap->children()) {
-      if (child.pe() < dead_part.size() && dead_part[child.pe()] != 0) {
-        pruned.push_back(cap.get());
-        break;
-      }
-    }
-    DdlKey parent = cap->parent();
-    if (!parent.IsNull() && parent.pe() < dead_part.size() && dead_part[parent.pe()] != 0) {
-      orphan_roots.push_back(key);
-    }
-  }
-  std::sort(pruned.begin(), pruned.end(),
-            [](const Capability* x, const Capability* y) { return x->key().raw() < y->key().raw(); });
-  for (Capability* cap : pruned) {
-    std::vector<DdlKey> dead_children;
-    for (DdlKey child : cap->children()) {
-      if (child.pe() < dead_part.size() && dead_part[child.pe()] != 0) {
-        dead_children.push_back(child);
-      }
-    }
-    for (DdlKey child : dead_children) {
-      cap->RemoveChild(child);
-      stats_.ft_edges_pruned++;
-      cost += t_.ft_prune_per_edge;
-    }
-  }
-  Charge(cost);
-
-  // 3. Unwedge every in-flight call addressed to the dead kernel. For
-  // REVOKE_REQs this is semantically exact: the dead kernel's share of the
-  // subtree is gone with its kernel, so the revocation may complete.
-  // Requests parked behind a migration transfer towards the dead kernel
-  // unwind through the existing refused-transfer path.
-  AbortPendingIkcsTo(dead);
-
-  // A parked delegate's ACK comes from the kernel owning the parent
-  // capability (the delegator's side of the handshake). If that partition
-  // died, the ACK can never arrive: drop the parked record. The child was
-  // never materialized, and the parent's record died with its kernel.
-  for (auto it = parked_delegates_.begin(); it != parked_delegates_.end();) {
-    NodeId ppe = it->second.parent_key.pe();
-    if (ppe < dead_part.size() && dead_part[ppe] != 0) {
-      stats_.ft_ikcs_aborted++;
-      it = parked_delegates_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  // 4. Recursively revoke the orphaned subtrees (deny-by-default: a
-  // capability whose ancestry can no longer vouch for it must go). Remote
-  // children at other survivors unwind through the normal REVOKE_REQ path;
-  // activated DTU endpoints are invalidated by the sweep.
-  if (ft_.bug_skip_orphan_revoke) {
-    // Injected protocol bug (FtConfig::bug_skip_orphan_revoke): leave the
-    // orphaned subtrees dangling so the auditor has something to catch.
-    ft_pending_recovery_ += 1;
-    FtRecoveryStepDone();
-    cur_trace_ = saved_trace;
-    return;
-  }
-  ft_pending_recovery_ += static_cast<uint32_t>(orphan_roots.size()) + 1;
-  std::sort(orphan_roots.begin(), orphan_roots.end(),
-            [](DdlKey x, DdlKey y) { return x.raw() < y.raw(); });
-  for (DdlKey root : orphan_roots) {
-    Capability* cap = caps_.Find(root);
-    if (cap == nullptr) {
-      FtRecoveryStepDone();
-      continue;
-    }
-    if (cap->marked()) {
-      // An in-flight revocation already covers this subtree; recovery is
-      // complete once it finished.
-      cap->task()->on_complete.push_back([this] { FtRecoveryStepDone(); });
-      continue;
-    }
-    stats_.ft_orphan_roots++;
-    RevokeTask* task = NewRevokeTask(root);
-    task->admin = true;
-    task->admin_done = [this] { FtRecoveryStepDone(); };
-    Cycles rcost = t_.revoke_entry + MarkPass(cap, task);
-    rcost += FlushRevokeRequests(task);
-    Charge(rcost);
-    CheckRevokeComplete(task);
-  }
-  FtRecoveryStepDone();  // sentinel: recovery with zero orphans is done now
-  cur_trace_ = saved_trace;
-}
-
-void Kernel::FtRecoveryStepDone() {
-  CHECK_GT(ft_pending_recovery_, 0u);
-  if (--ft_pending_recovery_ == 0) {
-    ft_recovered_at_ = pe_->sim()->Now();
-    if (ft_trace_ != 0) {
-      RecordSpan(tracer(), ft_trace_, ft_span_, /*parent=*/0, ft_trace_start_,
-                 pe_->sim()->Now(), pe_->node(), obs::SpanKind::kFailover, /*op=*/0);
-      ft_trace_ = 0;
-      ft_span_ = 0;
-    }
-    LOG_INFO(kTag) << "kernel " << config_.id << " recovery complete";
-  }
-}
-
-void Kernel::AdoptPe(NodeId pe) {
-  PeType type = pe < config_.pe_types.size() ? config_.pe_types[pe] : PeType::kUser;
-  if (type == PeType::kKernel || type == PeType::kMemory) {
-    return;  // ownership-only takeover: nothing runs a VPE on those tiles
-  }
-  if (vpes_.Find(pe) != nullptr) {
-    return;  // already ours (PE had migrated here before its kernel died)
-  }
-  stats_.ft_pes_adopted++;
-  CHECK_LT(vpes_.size(), kMaxVpesPerKernel)
-      << "kernel " << config_.id << " exceeds 192 VPEs adopting PE " << pe;
-  // The VPE's kernel-side state died with its kernel; only a fresh identity
-  // can be rebuilt. The program on the PE itself kept running — its old
-  // capabilities are unrecoverable (orphan revocation at the survivors
-  // removes every remaining trace), so it restarts from an empty table
-  // plus the standard self capability. New keys minted here cannot clash
-  // with stale edges into this partition: every survivor prunes those
-  // edges when it applies the decree, before any exchange from the adopted
-  // VPE can reach it.
-  VpeState vpe_state;
-  vpe_state.id = pe;
-  vpe_state.node = pe;
-  vpe_state.alive = true;
-  vpe_state.is_service = type == PeType::kService;
-  VpeState* v = vpes_.Insert(std::move(vpe_state));
-  CHECK(v != nullptr);
-  migrated_away_.erase(pe);
-  CapPayload payload;
-  payload.type = CapType::kVpe;
-  CreateCap(v, CapType::kVpe, payload, DdlKey());
-  // Retarget the PE's syscall send endpoint at this kernel: the endpoint
-  // reset also restores the send credit its last (lost) syscall consumed,
-  // so the user runtime's retry can actually leave the PE.
-  Charge(t_.ep_config);
-  EpId syscall_ep = kEpSyscall0 + (pe % kNumSyscallEps);
-  pe_->dtu().ConfigureRemoteSend(pe, user_ep::kSyscallSend, pe_->node(), syscall_ep,
-                                 /*credits=*/1, /*label=*/0, nullptr);
-}
-
-void Kernel::AbortPendingIkcsTo(KernelId dead) {
-  // Flow-queued and batch-buffered requests that never left: their tokens
-  // are pending too, so dropping both stages first keeps the abort loop
-  // the single completion point. (A relay buffered for the dead kernel has
-  // no pending here; its origin aborts via its own re-keyed entry.)
-  peers_.at(dead).queue.clear();
-  peers_.at(dead).batch.clear();
-  std::vector<uint64_t> tokens;
-  for (const auto& [token, pending] : ikcs_) {
-    if (pending.peer == dead) {
-      tokens.push_back(token);
-    }
-  }
-  std::sort(tokens.begin(), tokens.end());  // issue order: deterministic unwind
-  for (uint64_t token : tokens) {
-    auto it = ikcs_.find(token);
-    if (it == ikcs_.end()) {
-      continue;  // unwound by an earlier abort's callback
-    }
-    PendingIkc pending = std::move(it->second);
-    ikcs_.erase(it);
-    stats_.ft_ikcs_aborted++;
-    IkcReply reply;
-    reply.token = token;
-    reply.err = ErrCode::kUnreachable;
-    TraceCtx saved_trace = cur_trace_;
-    if (pending.trace_span != 0) {
-      // The round trip ends here — aborted, but the span still closes so
-      // the request's tree has no dangling parent link.
-      RecordSpan(tracer(), pending.trace, pending.trace_span, pending.trace_parent,
-                 pending.trace_start, pe_->sim()->Now(), pe_->node(), obs::SpanKind::kIkcRtt,
-                 pending.trace_op);
-      cur_trace_ = TraceCtx{pending.trace, pending.trace_parent};
-    }
-    if (pending.cb) {
-      pending.cb(reply);
-    }
-    cur_trace_ = saved_trace;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -2520,588 +634,6 @@ void Kernel::SysRegisterService(SyscallCtx ctx, const SyscallMsg& req) {
   CapSel sel = cap->sel();
   Finish(t_.syscall_dispatch + t_.cap_create + t_.syscall_reply,
          [this, ctx, sel] { ReplySyscall(ctx, ErrCode::kOk, sel); });
-}
-
-// ---------------------------------------------------------------------------
-// IKC engine — flow-controlled kernel-to-kernel messaging (paper §4.1)
-// ---------------------------------------------------------------------------
-
-void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg,
-                     std::function<void(const IkcReply&)> cb) {
-  CHECK_NE(peer, config_.id);
-  msg->src_kernel = config_.id;
-  if (msg->token == 0) {
-    msg->token = next_token_++;
-  }
-  if (peer_failed_.at(peer) != 0) {
-    // The peer is quorum-confirmed dead: fail fast with the same deferred
-    // kUnreachable a recovery abort produces, instead of leaking a token
-    // that waits on a reply that can never come.
-    stats_.ft_ikcs_aborted++;
-    uint64_t token = msg->token;
-    pe_->sim()->Schedule(0, [cb = std::move(cb), token] {
-      if (cb) {
-        IkcReply reply;
-        reply.token = token;
-        reply.err = ErrCode::kUnreachable;
-        cb(reply);
-      }
-    });
-    return;
-  }
-  PendingIkc pending;
-  pending.token = msg->token;
-  pending.peer = peer;
-  pending.cb = std::move(cb);
-  if (obs::Tracer* tr = tracer(); tr != nullptr && cur_trace_.trace != 0) {
-    pending.trace = cur_trace_.trace;
-    pending.trace_parent = cur_trace_.parent;
-    pending.trace_span = tr->NextSpanId(pe_->node());
-    pending.trace_start = pe_->sim()->Now();
-    pending.trace_op = static_cast<uint16_t>(msg->op);
-    // Everything the remote kernel does on this call's behalf nests under
-    // the round-trip span — that is how trees cross kernels.
-    msg->trace_id = pending.trace;
-    msg->trace_parent = pending.trace_span;
-  }
-  ikcs_[msg->token] = std::move(pending);
-
-  EnqueueIkc(peer, std::move(msg));
-}
-
-bool Kernel::IsBatchableOp(IkcOp op) {
-  switch (op) {
-    case IkcOp::kObtainReq:
-    case IkcOp::kOpenSessionReq:
-    case IkcOp::kDelegateReq:
-    case IkcOp::kDelegateAck:
-    case IkcOp::kRevokeReq:
-    case IkcOp::kRevokeBatchReq:
-    case IkcOp::kOrphanNotify:
-    case IkcOp::kChildDrop:
-    case IkcOp::kRelayNotice:
-      return true;
-    default:
-      // Control traffic (hello, shutdown, announce, migration, epoch,
-      // fault tolerance) and the container itself always travel solo: their
-      // ordering relative to buffered capability requests is what the FIFO
-      // flush below preserves.
-      return false;
-  }
-}
-
-void Kernel::EnqueueIkc(KernelId peer, std::shared_ptr<IkcMsg> msg) {
-  stats_.ikc_op_sent[static_cast<size_t>(msg->op)]++;
-  PeerState& state = peers_[peer];
-  if (config_.cap_batching && IsBatchableOp(msg->op)) {
-    // Buffer in the peer's open batch. The epoch stamp lets the receiver
-    // spot containers whose entries straddle a membership change — routing
-    // is per-op there, so a mixed batch is observable but harmless.
-    msg->batch_epoch = config_.membership.Epoch();
-    if (state.batch.empty()) {
-      state.batch_opened = pe_->sim()->Now();
-    }
-    state.batch.push_back(std::move(msg));
-    if (state.batch.size() >= config_.batch_max_ops) {
-      FlushBatch(peer);
-    } else if (!state.batch_timer_armed) {
-      state.batch_timer_armed = true;
-      pe_->sim()->Schedule(config_.batch_window, [this, peer] {
-        peers_[peer].batch_timer_armed = false;
-        if (dead_) {
-          return;
-        }
-        FlushBatch(peer);
-      });
-    }
-    return;
-  }
-  // Non-batchable (or batching off): anything buffered for this peer must
-  // leave first — pairwise FIFO between operations is a correctness
-  // precondition (§4.3.1), and messages like kMigrateVpe rely on every
-  // earlier capability request reaching the peer ahead of them.
-  FlushBatch(peer);
-  if (state.credits == 0) {
-    // All four in-flight slots at the peer are taken (paper §4.1); the
-    // request waits here instead of overflowing the peer's receive EP.
-    stats_.ikc_flow_queued++;
-  }
-  state.queue.push_back(std::move(msg));
-  DispatchIkc(peer);
-}
-
-void Kernel::FlushBatch(KernelId peer) {
-  PeerState& state = peers_[peer];
-  if (state.batch.empty()) {
-    return;
-  }
-  std::vector<std::shared_ptr<IkcMsg>> ops = std::move(state.batch);
-  state.batch.clear();
-  std::shared_ptr<IkcMsg> wire;
-  if (ops.size() == 1) {
-    // A batch of one leaves as the bare request: no container overhead on
-    // the wire, and the receiver needs no special casing.
-    wire = std::move(ops.front());
-  } else {
-    wire = NewMsg<IkcMsg>();
-    wire->op = IkcOp::kCapBatch;
-    wire->src_kernel = config_.id;
-    wire->batch = std::move(ops);
-    stats_.ikc_op_sent[static_cast<size_t>(IkcOp::kCapBatch)]++;
-    stats_.ikc_batches_sent++;
-    stats_.ikc_batched_ops += wire->batch.size();
-    stats_.ikc_batch_ops_max =
-        std::max<uint64_t>(stats_.ikc_batch_ops_max, wire->batch.size());
-    // The container inherits the first traced sub-request's context (one
-    // wire message, one transit span); each sub keeps its own context, so
-    // every tree stays connected through the coalescing. The kBatch span
-    // makes the flush-window wait visible, sized by the batch.
-    for (const std::shared_ptr<IkcMsg>& sub : wire->batch) {
-      if (sub->trace_id != 0) {
-        wire->trace_id = sub->trace_id;
-        wire->trace_parent = sub->trace_parent;
-        break;
-      }
-    }
-    if (obs::Tracer* tr = tracer(); tr != nullptr && wire->trace_id != 0) {
-      RecordSpan(tr, wire->trace_id, tr->NextSpanId(pe_->node()), wire->trace_parent,
-                 state.batch_opened, pe_->sim()->Now(), pe_->node(), obs::SpanKind::kBatch,
-                 static_cast<uint16_t>(wire->batch.size()));
-    }
-  }
-  if (state.credits == 0) {
-    stats_.ikc_flow_queued++;
-  }
-  state.queue.push_back(std::move(wire));
-  DispatchIkc(peer);
-}
-
-void Kernel::SendIkcRelay(KernelId peer, std::shared_ptr<IkcMsg> msg) {
-  // Relayed forward of a stale-epoch request: src_kernel and token stay the
-  // origin's (the final owner's reply correlates there, not here), and no
-  // pending entry is registered — this kernel leaves the request's path the
-  // moment the forward is out. The caller verified the peer is alive.
-  CHECK_NE(peer, config_.id);
-  if (obs::Tracer* tr = tracer(); tr != nullptr && msg->trace_id != 0) {
-    // Zero-length marker: the hop's transit and final service get their own
-    // spans; this records *that* the walk bounced through this kernel.
-    Cycles now = pe_->sim()->Now();
-    RecordSpan(tr, msg->trace_id, tr->NextSpanId(pe_->node()), msg->trace_parent, now, now,
-               pe_->node(), obs::SpanKind::kRelay, static_cast<uint16_t>(msg->op));
-  }
-  EnqueueIkc(peer, std::move(msg));
-}
-
-Cycles Kernel::IkcSendCost(KernelId peer, IkcOp op) const {
-  if (!config_.cap_batching || !IsBatchableOp(op) || peer == config_.id ||
-      peer >= peers_.size()) {
-    return t_.ikc_send;
-  }
-  // Opening a batch pays the full send (the flush window starts here);
-  // appending to an open one only pays the marshalling.
-  return peers_[peer].batch.empty() ? t_.ikc_send : t_.ikc_batch_op;
-}
-
-Cycles Kernel::DdlDecodeCost(DdlKey key) {
-  if (!config_.cap_batching || key.IsNull() || KernelOf(key) == config_.id) {
-    return t_.ddl_decode;
-  }
-  if (ddl_cache_.Lookup(key, config_.membership.Epoch())) {
-    stats_.ddl_cache_hits++;
-    return t_.ddl_cache_hit;
-  }
-  stats_.ddl_cache_misses++;
-  return t_.ddl_decode;
-}
-
-Cycles Kernel::DdlDecodeCostVpe(VpeId vpe) {
-  // Paths that route by a peer VPE rather than a concrete capability key
-  // probe with the partition's canonical VPE key.
-  return DdlDecodeCost(DdlKey::Make(vpe, vpe, CapType::kVpe, 0));
-}
-
-void Kernel::DispatchIkc(KernelId peer) {
-  PeerState& state = peers_[peer];
-  while (state.credits > 0 && !state.queue.empty()) {
-    std::shared_ptr<IkcMsg> msg = std::move(state.queue.front());
-    state.queue.pop_front();
-    state.credits--;
-    stats_.ikc_sent++;
-    NodeId peer_node = config_.kernel_nodes.at(peer);
-    // Peer receive EP: 8 + (sender % 8) — eight senders share one EP, four
-    // in-flight messages each: 8 EPs x 32 slots cover 64 kernels (§5.1).
-    EpId dst_ep = kEpKernel0 + (config_.id % kNumKernelEps);
-    EpId reply_ep = kEpKernel0 + (peer % kNumKernelEps);
-    Emit(pe_->sim()->Now(), [this, peer_node, dst_ep, reply_ep, msg = std::move(msg)] {
-      pe_->dtu().SendTo(peer_node, dst_ep, msg, reply_ep);
-    });
-  }
-}
-
-void Kernel::ReplyIkc(EpId recv_ep, const Message& msg, std::shared_ptr<IkcReply> reply) {
-  // The request's slot was already freed at dispatch (see OnIkc); logical
-  // replies travel as reply-typed messages that need no slot.
-  (void)recv_ep;
-  // Close the handler span opened at dispatch (possibly long ago, for
-  // suspended revocations) and hand the reply its trace context.
-  if (auto it = ikc_handling_.find({msg.src_node, reply->token}); it != ikc_handling_.end()) {
-    const IkcHandling& h = it->second;
-    reply->trace_id = h.trace;
-    reply->trace_parent = h.span;
-    RecordSpan(tracer(), h.trace, h.span, h.parent, h.start, pe_->sim()->Now(), pe_->node(),
-               obs::SpanKind::kIkc, h.op);
-    ikc_handling_.erase(it);
-  }
-  pe_->dtu().SendDeferredReply(msg, std::move(reply));
-}
-
-void Kernel::OnIkc(EpId ep, const Message& msg) {
-  if (msg.is_reply) {
-    if (const IkcCredit* credit = msg.As<IkcCredit>()) {
-      // Flow control: the peer dispatched one of our requests; its receive
-      // slot is free again, so another request may go out (§4.1).
-      PeerState& state = peers_[credit->from];
-      state.credits++;
-      CHECK_LE(state.credits, config_.max_inflight);
-      DispatchIkc(credit->from);
-      return;
-    }
-    const IkcReply* reply = msg.As<IkcReply>();
-    CHECK(reply != nullptr);
-    auto it = ikcs_.find(reply->token);
-    if (it == ikcs_.end()) {
-      // Pipelined relays (--cap-batching) make this reachable: a pending
-      // re-keyed onto a kernel that then failed was aborted with
-      // kUnreachable, yet the request had in fact been dispatched before
-      // the crash and its direct reply lands here afterwards. Without
-      // relays an unknown token is a protocol bug — keep that loud.
-      CHECK(config_.cap_batching) << "IKC reply for unknown token";
-      stats_.ikc_late_replies++;
-      return;
-    }
-    PendingIkc pending = std::move(it->second);
-    ikcs_.erase(it);
-    if (pending.trace_span != 0) {
-      RecordSpan(tracer(), pending.trace, pending.trace_span, pending.trace_parent,
-                 pending.trace_start, pe_->sim()->Now(), pe_->node(), obs::SpanKind::kIkcRtt,
-                 pending.trace_op);
-      // The continuation acts for the enclosing operation again.
-      cur_trace_ = TraceCtx{pending.trace, pending.trace_parent};
-    }
-    if (pending.cb) {
-      pending.cb(*reply);
-    }
-    cur_trace_ = TraceCtx{};
-    return;
-  }
-
-  const IkcMsg* req = msg.As<IkcMsg>();
-  CHECK(req != nullptr);
-  stats_.ikc_received++;
-  stats_.ikc_op_received[static_cast<size_t>(req->op)]++;
-  // Pull the message out of the DTU: free the slot and return the sender's
-  // in-flight credit immediately. The logical reply is deferred — for
-  // revocations possibly for a long time — without blocking the channel,
-  // which keeps deep alternating revocation chains deadlock-free (§4.3.3).
-  // The credit routes by the *wire* message — a relayed request's rewritten
-  // reply address (see RouteIkcRequest) must never redirect it.
-  pe_->dtu().Ack(ep, msg);
-  auto credit = NewMsg<IkcCredit>();
-  credit->from = config_.id;
-  Emit(pe_->sim()->Now(), [this, msg, credit] { pe_->dtu().SendDeferredReply(msg, credit); });
-
-  if (req->op == IkcOp::kCapBatch) {
-    // The container shell is not itself routable — each sub-request routes
-    // (parks, forwards, dispatches) individually below.
-    DispatchIkcRequest(ep, msg, *req);
-    return;
-  }
-  RouteIkcRequest(ep, msg, *req);
-}
-
-void Kernel::RouteIkcRequest(EpId ep, const Message& msg, const IkcMsg& req) {
-  if (config_.cap_batching && req.relay_node != kInvalidNode) {
-    // Relayed request: every deferred reply must reach the walk's origin,
-    // not the previous hop. SendDeferredReply routes purely by the
-    // Message's src_node/reply_ep, so a rewritten copy redirects all of
-    // them — including a further forward's kUnreachable short-circuit and
-    // replies sent after parking.
-    Message dmsg = msg;
-    dmsg.src_node = req.relay_node;
-    dmsg.reply_ep = req.relay_ep;
-    if (!MaybeForwardIkc(ep, dmsg, req)) {
-      DispatchIkcRequest(ep, dmsg, req);
-    }
-    return;
-  }
-  if (!MaybeForwardIkc(ep, msg, req)) {
-    DispatchIkcRequest(ep, msg, req);
-  }
-}
-
-void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& request) {
-  const IkcMsg* req = &request;
-  // Open the handler span; ReplyIkc closes it by (requester node, token).
-  // The container itself never replies — its sub-requests open their own
-  // entries when the loop below re-enters here per sub.
-  TraceCtx saved_trace = cur_trace_;
-  obs::Tracer* tr = tracer();
-  if (tr != nullptr && req->trace_id != 0 && req->op != IkcOp::kCapBatch) {
-    IkcHandling h;
-    h.trace = req->trace_id;
-    h.parent = req->trace_parent;
-    h.span = tr->NextSpanId(pe_->node());
-    h.start = pe_->sim()->Now();
-    h.op = static_cast<uint16_t>(req->op);
-    ikc_handling_[{msg.src_node, req->token}] = h;
-    cur_trace_ = TraceCtx{h.trace, h.span};
-  } else {
-    cur_trace_ = TraceCtx{};
-  }
-  switch (req->op) {
-    case IkcOp::kHello: {
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-      break;
-    }
-    case IkcOp::kShutdown: {
-      // The peer's group is going away: stop routing sessions to its
-      // services and remember that it is down.
-      peer_down_.at(req->src_kernel) = true;
-      for (auto& [name, entries] : services_) {
-        (void)name;
-        std::erase_if(entries,
-                      [&](const ServiceEntry& e) { return e.kernel == req->src_kernel; });
-      }
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-      break;
-    }
-    case IkcOp::kServiceAnnounce: {
-      ServiceEntry entry;
-      entry.name = req->name;
-      entry.kernel = req->src_kernel;
-      entry.cap = req->cap;
-      entry.node = req->node;
-      entry.vpe = req->vpe;
-      services_[req->name].push_back(entry);
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-      break;
-    }
-    case IkcOp::kObtainReq:
-    case IkcOp::kOpenSessionReq: {
-      AcquireThread();
-      bool open_session = req->op == IkcOp::kOpenSessionReq;
-      bool service_mediated = open_session || req->opaque != nullptr;
-      Charge(t_.ikc_dispatch + t_.ikc_exchange_extra + t_.exchange_validate + t_.ddl_decode +
-                 (service_mediated ? t_.session_exchange_extra : 0));
-      AskOp ask_op = open_session ? AskOp::kOpenSession
-                                  : (req->opaque ? AskOp::kExchange : AskOp::kObtain);
-      VpeId owner_vpe;
-      CapSel owner_sel = kInvalidSel;
-      if (req->cap.IsNull()) {
-        owner_vpe = req->peer;
-        owner_sel = static_cast<CapSel>(req->payload.session);
-      } else {
-        Capability* anchor = caps_.Find(req->cap);
-        if (anchor == nullptr) {
-          auto reply = NewMsg<IkcReply>();
-          reply->token = req->token;
-          reply->err = ErrCode::kNoSuchCap;
-          Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-          ReleaseThread();
-          break;
-        }
-        owner_vpe = anchor->holder();
-      }
-      uint64_t token = req->token;
-      uint64_t session = req->payload.session;
-      OwnerSideObtain(ask_op, req->cap, owner_vpe, owner_sel, req->vpe, req->child,
-                      req->opaque, session,
-                      [this, ep, msg, token](ErrCode err, DdlKey parent,
-                                             const CapPayload& payload, MsgRef opq,
-                                             uint64_t new_session) {
-                        auto reply = NewMsg<IkcReply>();
-                        reply->token = token;
-                        reply->err = err;
-                        reply->cap = parent;
-                        reply->payload = payload;
-                        reply->payload.session =
-                            new_session != 0 ? new_session : reply->payload.session;
-                        reply->opaque = std::move(opq);
-                        Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-                        ReleaseThread();
-                      });
-      break;
-    }
-    case IkcOp::kDelegateReq: {
-      Charge(t_.ikc_dispatch + t_.ikc_exchange_extra);
-      OwnerSideDelegate(*req, ep, msg);
-      break;
-    }
-    case IkcOp::kDelegateAck: {
-      uint64_t token = req->token;
-      ApplyDelegateAck(req->payload.session != 0, req->child,
-                       [this, ep, msg, token](ErrCode err) {
-                         auto reply = NewMsg<IkcReply>();
-                         reply->token = token;
-                         reply->err = err;
-                         Emit(Charge(t_.ikc_send),
-                              [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-                       });
-      break;
-    }
-    case IkcOp::kRevokeReq:
-    case IkcOp::kRevokeBatchReq: {
-      OnRevokeReq(ep, msg, *req);
-      break;
-    }
-    case IkcOp::kOrphanNotify: {
-      Capability* parent = caps_.Find(req->parent);
-      if (parent != nullptr) {
-        parent->RemoveChild(req->child);
-        stats_.orphans_cleaned++;
-      }
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-      break;
-    }
-    case IkcOp::kChildDrop: {
-      Capability* parent = caps_.Find(req->parent);
-      if (parent != nullptr) {
-        parent->RemoveChild(req->child);
-      }
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-      break;
-    }
-    case IkcOp::kMigrateVpe: {
-      OnMigrateVpe(ep, msg, *req);
-      break;
-    }
-    case IkcOp::kEpochUpdate: {
-      ApplyMembershipUpdate(req->node, req->new_owner, req->epoch);
-      stats_.epoch_updates++;
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send),
-           [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-      break;
-    }
-    case IkcOp::kSuspectKernel: {
-      Charge(t_.ikc_dispatch);
-      RecordSuspectVote(req->suspect, req->src_kernel);
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-      break;
-    }
-    case IkcOp::kFailoverDecree: {
-      Charge(t_.ikc_dispatch);
-      RecoverFromFailure(req->suspect, req->epoch);
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-      break;
-    }
-    case IkcOp::kCapBatch: {
-      // Container (--cap-batching): one wire message, one credit, one
-      // dispatch — then every sub-request routes individually. Per-op
-      // routing is load-bearing: a batch racing an epoch update may mix
-      // entries enqueued under different epochs, and settle-round
-      // forwarding must apply to exactly the stale ones, never to the
-      // whole container.
-      Charge(t_.ikc_dispatch);
-      uint64_t first_epoch = req->batch.empty() ? 0 : req->batch.front()->batch_epoch;
-      for (const std::shared_ptr<IkcMsg>& sub : req->batch) {
-        if (sub->batch_epoch != first_epoch) {
-          stats_.ikc_batch_mixed_epoch++;
-          break;
-        }
-      }
-      for (const std::shared_ptr<IkcMsg>& sub : req->batch) {
-        stats_.ikc_op_received[static_cast<size_t>(sub->op)]++;
-        RouteIkcRequest(ep, msg, *sub);
-      }
-      break;
-    }
-    case IkcOp::kRelayNotice: {
-      ApplyRelayNotice(*req);
-      auto reply = NewMsg<IkcReply>();
-      reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send),
-           [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-      break;
-    }
-  }
-  cur_trace_ = saved_trace;
-}
-
-// ---------------------------------------------------------------------------
-// Party asks
-// ---------------------------------------------------------------------------
-
-void Kernel::AskParty(NodeId node, std::shared_ptr<AskMsg> ask,
-                      std::function<void(const AskReply&)> cb) {
-  ask->token = next_token_++;
-  PendingAsk pending;
-  pending.token = ask->token;
-  pending.node = node;
-  pending.cb = std::move(cb);
-  if (obs::Tracer* tr = tracer(); tr != nullptr && cur_trace_.trace != 0) {
-    pending.trace = cur_trace_.trace;
-    pending.trace_parent = cur_trace_.parent;
-    pending.trace_span = tr->NextSpanId(pe_->node());
-    pending.trace_start = pe_->sim()->Now();
-    pending.trace_op = static_cast<uint16_t>(ask->op);
-    ask->trace_id = pending.trace;
-    ask->trace_parent = pending.trace_span;
-  }
-  asks_[ask->token] = std::move(pending);
-
-  AskWindow& window = ask_windows_[node];
-  auto send = [this, node, ask] {
-    pe_->dtu().SendTo(node, user_ep::kAsk, ask, kEpAskReply);
-  };
-  if (window.inflight < config_.service_ask_inflight) {
-    window.inflight++;
-    send();
-  } else {
-    window.queue.push_back(send);
-  }
-}
-
-void Kernel::OnAskReply(const Message& msg) {
-  const AskReply* reply = msg.As<AskReply>();
-  CHECK(reply != nullptr);
-  auto it = asks_.find(reply->token);
-  CHECK(it != asks_.end()) << "ask reply for unknown token";
-  PendingAsk pending = std::move(it->second);
-  asks_.erase(it);
-  AskWindow& window = ask_windows_[pending.node];
-  window.inflight--;
-  if (!window.queue.empty()) {
-    auto fn = std::move(window.queue.front());
-    window.queue.pop_front();
-    window.inflight++;
-    fn();
-  }
-  if (pending.trace_span != 0) {
-    RecordSpan(tracer(), pending.trace, pending.trace_span, pending.trace_parent,
-               pending.trace_start, pe_->sim()->Now(), pe_->node(), obs::SpanKind::kAsk,
-               pending.trace_op);
-    cur_trace_ = TraceCtx{pending.trace, pending.trace_parent};
-  }
-  if (pending.cb) {
-    pending.cb(*reply);
-  }
-  cur_trace_ = TraceCtx{};
 }
 
 }  // namespace semperos

@@ -56,6 +56,7 @@
 #include "core/protocol.h"
 #include "core/timing.h"
 #include "ft/ft.h"
+#include "obs/trace.h"
 #include "pe/pe.h"
 #include "sim/inline_fn.h"
 
@@ -355,6 +356,8 @@ class Kernel : public Program {
   void FinishBoot(const std::vector<ProcessingElement*>& group_pes);
 
  private:
+  static constexpr const char* kTag = "kernel";  // log tag
+
   // ===== Pending distributed operations (suspended kernel threads) =====
 
   struct SyscallCtx {
@@ -470,6 +473,11 @@ class Kernel : public Program {
     uint16_t op = 0;
   };
   obs::Tracer* tracer() const { return pe_ != nullptr ? pe_->tracer() : nullptr; }
+  // Records a completed span; callers already verified `tr` is non-null and
+  // the operation is traced.
+  static void RecordSpan(obs::Tracer* tr, uint64_t trace, uint64_t span, uint64_t parent,
+                         Cycles start, Cycles end, uint32_t entity, obs::SpanKind kind,
+                         uint16_t op);
   // Stamps cur_trace_ onto an outgoing message body (0s when untraced).
   void StampTrace(MsgBody* body) const {
     body->trace_id = cur_trace_.trace;
@@ -646,9 +654,9 @@ class Kernel : public Program {
   void ReplySyscall(SyscallCtx ctx, ErrCode err, CapSel sel = kInvalidSel,
                     const CapPayload& payload = {}, MsgRef opaque = nullptr);
   // Charges `cost` on the kernel core, then runs `effects` (sends replies).
-  void Finish(Cycles cost, InlineFn&& effects);
+  void Finish(Cycles cost, InlineFn&& effects) { pe_->exec().Post(cost, std::move(effects)); }
   // Charges `cost` and returns the completion time (for Emit below).
-  Cycles Charge(Cycles cost);
+  Cycles Charge(Cycles cost) { return pe_->exec().Occupy(cost); }
 
   // ===== Kernel-to-kernel egress sequencer =====
   // State mutations happen when a handler runs; the messages announcing
