@@ -821,7 +821,7 @@ std::string FormatStormSpec(const StormConfig& config) {
 
 std::string ReproCommand(const StormConfig& config) {
   std::ostringstream os;
-  os << "semperos_sim --chaos --seed=" << config.seed << " --kernels=" << config.kernels
+  os << "semperos_sim chaos --seed=" << config.seed << " --kernels=" << config.kernels
      << " --users=" << config.users_per_kernel << " --rounds=" << config.rounds
      << " --settle=" << config.settle_every
      << " --workload=" << StormWorkloadName(config.workload) << " --kills=" << config.max_kills

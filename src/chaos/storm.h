@@ -38,7 +38,7 @@
 // (src/audit). Any violation stops the storm and is reported with the
 // exact StormConfig that reproduces it; ShrinkStorm() then reduces a
 // failing config to a minimal one-command repro
-// (`semperos_sim --chaos --seed=N ...`).
+// (`semperos_sim chaos --seed=N ...`).
 //
 // Everything is driven by one explicitly seeded Rng, and the driver only
 // acts at exact-time barriers between simulation slices — so a storm is

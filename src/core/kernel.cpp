@@ -89,8 +89,6 @@ const char* IkcOpName(IkcOp op) {
       return "delegate_ack";
     case IkcOp::kRevokeReq:
       return "revoke_req";
-    case IkcOp::kRevokeBatchReq:
-      return "revoke_batch_req";
     case IkcOp::kOrphanNotify:
       return "orphan_notify";
     case IkcOp::kChildDrop:

@@ -3,8 +3,9 @@
 // One Kernel instance runs on each kernel PE and exclusively manages the PEs
 // of its group: their VPEs, their capabilities, and their DTU endpoints.
 // Kernels coordinate through inter-kernel calls (IKCs) to present a single
-// system image. This file implements the paper's primary contribution — the
-// distributed capability management protocols:
+// system image. This class is the paper's primary contribution — the
+// distributed capability management protocols, implemented one protocol
+// seam per file in kernel.cpp and kernel_{exchange,revoke,migrate,ft,ikc}.cpp:
 //
 //  * capability exchange (obtain/delegate) with the anomaly mitigations of
 //    §4.3.2: obtain leaves the obtainer's tree untouched until the owner
@@ -143,8 +144,7 @@ struct RevokeTask {
   // outstanding kernel replies", §4.3.3).
   std::vector<InlineFn> on_complete;
   // Remote children discovered by the marking pass, grouped by owning
-  // kernel; flushed as one request per child, or one per peer when
-  // revocation batching is enabled.
+  // kernel; flushed as one REVOKE_REQ per child.
   std::map<KernelId, std::vector<DdlKey>> remote_children;
 };
 
@@ -219,15 +219,16 @@ class Kernel : public Program {
     std::vector<NodeId> kernel_nodes;    // kernel id -> kernel PE
     uint32_t max_inflight = 4;           // M_inflight per peer kernel
     uint32_t service_ask_inflight = 64;  // kernel -> service ask window
-    // Extension (paper §5.2 future work): batch all REVOKE_REQs to the
-    // same peer kernel into one message instead of one per child.
-    bool revoke_batching = false;
     // Cross-kernel chatter optimisation (--cap-batching, default on):
     // transport-level coalescing of same-destination capability requests
     // into kCapBatch containers, pipelined stale-epoch forwarding (the
     // final owner replies to the origin directly), and the
     // epoch-invalidated remote-DDL cache. Off reproduces the legacy
-    // modeled results bit for bit.
+    // modeled results bit for bit. The platform expresses off's coalescing
+    // as batch_max_ops = 1 (a batch of one leaves as the bare request), so
+    // this flag is read in exactly three places, the mode's only real
+    // differences: DdlDecodeCost (the cache), MaybeForwardIkc (proxy leg
+    // instead of relay) and OnIkc (an unknown reply token is fatal).
     bool cap_batching = true;
     // Flush window: an open per-peer batch flushes when this many cycles
     // elapsed since it opened, or when it holds batch_max_ops requests,
@@ -533,12 +534,11 @@ class Kernel : public Program {
   RevokeTask* NewRevokeTask(DdlKey root);
   // Phase 1: returns the extra kernel-cycle cost of the marking pass.
   Cycles MarkPass(Capability* cap, RevokeTask* task);
-  // Sends the REVOKE_REQs collected by the marking pass (per child, or per
-  // peer kernel with batching). Returns the send cost.
+  // Sends one REVOKE_REQ per remote child collected by the marking pass.
+  // Returns the send cost.
   Cycles FlushRevokeRequests(RevokeTask* task);
   void OnRevokeReq(EpId ep, const Message& msg, const IkcMsg& req);
   void ProcessRevokeReq(EpId ep, Message msg, const IkcMsg& req);
-  void ProcessRevokeBatch(EpId ep, Message msg, const IkcMsg& req);
   void RevokeDependencyDone(uint64_t task_id);
   void CheckRevokeComplete(RevokeTask* task);
   // Phase 2: deletes this task's marked subtree; returns (cost, deleted).
@@ -626,8 +626,8 @@ class Kernel : public Program {
   // walk loops back through its own origin (a kernel cannot IKC itself).
   void ApplyRelayNotice(const IkcMsg& notice);
   // Modeled cost of sending `op` to `peer` right now: appending to an open
-  // batch is cheap (t_.ikc_batch_op); opening one, a non-batchable op, or
-  // cap_batching=off pays the full t_.ikc_send.
+  // batch is cheap (t_.ikc_batch_op); opening one or a non-batchable op pays
+  // the full t_.ikc_send (always, at batch_max_ops = 1: no batch stays open).
   Cycles IkcSendCost(KernelId peer, IkcOp op) const;
   // Modeled cost of decoding `key`: remote keys probe the epoch-validated
   // DDL cache (hit: t_.ddl_cache_hit); local keys and cap_batching=off pay

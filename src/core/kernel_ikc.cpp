@@ -65,7 +65,6 @@ bool Kernel::IsBatchableOp(IkcOp op) {
     case IkcOp::kDelegateReq:
     case IkcOp::kDelegateAck:
     case IkcOp::kRevokeReq:
-    case IkcOp::kRevokeBatchReq:
     case IkcOp::kOrphanNotify:
     case IkcOp::kChildDrop:
     case IkcOp::kRelayNotice:
@@ -82,7 +81,7 @@ bool Kernel::IsBatchableOp(IkcOp op) {
 void Kernel::EnqueueIkc(KernelId peer, std::shared_ptr<IkcMsg> msg) {
   stats_.ikc_op_sent[static_cast<size_t>(msg->op)]++;
   PeerState& state = peers_[peer];
-  if (config_.cap_batching && IsBatchableOp(msg->op)) {
+  if (IsBatchableOp(msg->op)) {
     // Buffer in the peer's open batch. The epoch stamp lets the receiver
     // spot containers whose entries straddle a membership change — routing
     // is per-op there, so a mixed batch is observable but harmless.
@@ -105,10 +104,10 @@ void Kernel::EnqueueIkc(KernelId peer, std::shared_ptr<IkcMsg> msg) {
     }
     return;
   }
-  // Non-batchable (or batching off): anything buffered for this peer must
-  // leave first — pairwise FIFO between operations is a correctness
-  // precondition (§4.3.1), and messages like kMigrateVpe rely on every
-  // earlier capability request reaching the peer ahead of them.
+  // Non-batchable: anything buffered for this peer must leave first —
+  // pairwise FIFO between operations is a correctness precondition
+  // (§4.3.1), and messages like kMigrateVpe rely on every earlier
+  // capability request reaching the peer ahead of them.
   FlushBatch(peer);
   if (state.credits == 0) {
     // All four in-flight slots at the peer are taken (paper §4.1); the
@@ -182,8 +181,7 @@ void Kernel::SendIkcRelay(KernelId peer, std::shared_ptr<IkcMsg> msg) {
 }
 
 Cycles Kernel::IkcSendCost(KernelId peer, IkcOp op) const {
-  if (!config_.cap_batching || !IsBatchableOp(op) || peer == config_.id ||
-      peer >= peers_.size()) {
+  if (!IsBatchableOp(op) || peer == config_.id || peer >= peers_.size()) {
     return t_.ikc_send;
   }
   // Opening a batch pays the full send (the flush window starts here);
@@ -309,7 +307,7 @@ void Kernel::OnIkc(EpId ep, const Message& msg) {
 }
 
 void Kernel::RouteIkcRequest(EpId ep, const Message& msg, const IkcMsg& req) {
-  if (config_.cap_batching && req.relay_node != kInvalidNode) {
+  if (req.relay_node != kInvalidNode) {
     // Relayed request: every deferred reply must reach the walk's origin,
     // not the previous hop. SendDeferredReply routes purely by the
     // Message's src_node/reply_ep, so a rewritten copy redirects all of
@@ -444,8 +442,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
                        });
       break;
     }
-    case IkcOp::kRevokeReq:
-    case IkcOp::kRevokeBatchReq: {
+    case IkcOp::kRevokeReq: {
       OnRevokeReq(ep, msg, *req);
       break;
     }

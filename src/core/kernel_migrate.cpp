@@ -49,7 +49,7 @@ NodeId Kernel::RoutingPartition(const IkcMsg& req) {
       return req.parent.pe();
     default:
       // Not capability-targeted (hello, shutdown, announce, migration
-      // control traffic) — or per-key routed (revoke batches).
+      // control traffic).
       return kInvalidNode;
   }
 }
@@ -60,16 +60,7 @@ bool Kernel::MaybeForwardIkc(EpId ep, const Message& msg, const IkcMsg& req) {
   // and re-dispatch once the destination confirmed the takeover.
   for (auto& [id, task] : migrate_tasks_) {
     (void)id;
-    if (task->phase != MigrateTask::Phase::kTransfer) {
-      continue;
-    }
-    bool hit = part == task->pe;
-    if (req.op == IkcOp::kRevokeBatchReq) {
-      for (DdlKey key : req.caps) {
-        hit = hit || key.pe() == task->pe;
-      }
-    }
-    if (hit) {
+    if (task->phase == MigrateTask::Phase::kTransfer && part == task->pe) {
       task->parked.push_back(MigrateTask::ParkedIkc{ep, msg, req});
       return true;
     }

@@ -67,36 +67,22 @@ Cycles Kernel::MarkPass(Capability* cap, RevokeTask* task) {
 }
 
 Cycles Kernel::FlushRevokeRequests(RevokeTask* task) {
+  // "the kernel managing the root capability sends out one message for each
+  // child capability" (paper §5.2). With --cap-batching on, the IKC layer
+  // coalesces the requests bound for one peer into kCapBatch containers.
   Cycles cost = 0;
   uint64_t id = task->id;
   for (auto& [peer, keys] : task->remote_children) {
-    if (config_.revoke_batching) {
-      // One message per peer kernel carrying every child key (§5.2 future
-      // work); the peer replies once when its whole share is gone.
+    for (DdlKey key : keys) {
       task->outstanding++;
-      cost += IkcSendCost(peer, IkcOp::kRevokeBatchReq) +
-              static_cast<Cycles>(keys.size()) * 30;
+      cost += IkcSendCost(peer, IkcOp::kRevokeReq);
       auto msg = NewMsg<IkcMsg>();
-      msg->op = IkcOp::kRevokeBatchReq;
-      msg->caps = keys;
+      msg->op = IkcOp::kRevokeReq;
+      msg->cap = key;
       SendIkc(peer, msg, [this, id](const IkcReply&) {
         Charge(t_.ikc_reply_handle);
         RevokeDependencyDone(id);
       });
-    } else {
-      // "the kernel managing the root capability sends out one message for
-      // each child capability" (paper §5.2).
-      for (DdlKey key : keys) {
-        task->outstanding++;
-        cost += IkcSendCost(peer, IkcOp::kRevokeReq);
-        auto msg = NewMsg<IkcMsg>();
-        msg->op = IkcOp::kRevokeReq;
-        msg->cap = key;
-        SendIkc(peer, msg, [this, id](const IkcReply&) {
-          Charge(t_.ikc_reply_handle);
-          RevokeDependencyDone(id);
-        });
-      }
     }
   }
   task->remote_children.clear();
@@ -249,24 +235,13 @@ void Kernel::OnRevokeReq(EpId ep, const Message& msg, const IkcMsg& req) {
   // remote replies ("the thread will not be paused to stay at a fixed
   // number of threads"); completion is driven by the reply counters. This
   // is what keeps deep alternating chains deadlock-free with two threads.
-  bool batch = req.op == IkcOp::kRevokeBatchReq;
   if (revoke_threads_busy_ >= kMaxRevokeThreads) {
     stats_.revoke_reqs_queued++;
-    revoke_queue_.push_back([this, ep, msg, req, batch] {
-      if (batch) {
-        ProcessRevokeBatch(ep, msg, req);
-      } else {
-        ProcessRevokeReq(ep, msg, req);
-      }
-    });
+    revoke_queue_.push_back([this, ep, msg, req] { ProcessRevokeReq(ep, msg, req); });
     return;
   }
   revoke_threads_busy_++;
-  if (batch) {
-    ProcessRevokeBatch(ep, msg, req);
-  } else {
-    ProcessRevokeReq(ep, msg, req);
-  }
+  ProcessRevokeReq(ep, msg, req);
   revoke_threads_busy_--;
   DrainRevokeQueue();
 }
@@ -322,61 +297,6 @@ void Kernel::ProcessRevokeReq(EpId ep, Message msg, const IkcMsg& req) {
   cost += FlushRevokeRequests(task);
   Charge(cost);
   CheckRevokeComplete(task);
-  cur_trace_ = saved_trace;
-}
-
-void Kernel::ProcessRevokeBatch(EpId ep, Message msg, const IkcMsg& req) {
-  // Batched variant: revoke every key, reply once when all of them —
-  // including their remote subtrees — are gone. Each key runs as an
-  // admin-style sub-task feeding a shared countdown.
-  TraceCtx saved_trace = cur_trace_;
-  if (auto hit = ikc_handling_.find({msg.src_node, req.token}); hit != ikc_handling_.end()) {
-    cur_trace_ = TraceCtx{hit->second.trace, hit->second.span};
-  }
-  auto remaining = std::make_shared<uint32_t>(static_cast<uint32_t>(req.caps.size()) + 1);
-  uint64_t token = req.token;
-  auto maybe_reply = [this, remaining, ep, msg, token] {
-    if (--*remaining != 0) {
-      return;
-    }
-    auto reply = NewMsg<IkcReply>();
-    reply->token = token;
-    reply->err = ErrCode::kOk;
-    Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
-  };
-  Cycles cost = t_.ikc_dispatch;
-  for (DdlKey key : req.caps) {
-    Capability* cap = caps_.Find(key);
-    if (cap == nullptr) {
-      KernelId owner = KernelOf(key);
-      if (owner != config_.id) {
-        // This key's partition migrated away after the batch was
-        // assembled: relay a single REVOKE_REQ to the current owner and
-        // fold its completion into the batch countdown.
-        stats_.ikc_forwarded++;
-        auto fwd = NewMsg<IkcMsg>();
-        fwd->op = IkcOp::kRevokeReq;
-        fwd->cap = key;
-        cost += DdlDecodeCost(key) + IkcSendCost(owner, IkcOp::kRevokeReq);
-        SendIkc(owner, fwd, [maybe_reply](const IkcReply&) { maybe_reply(); });
-        continue;
-      }
-      maybe_reply();
-      continue;
-    }
-    if (cap->marked()) {
-      cap->task()->on_complete.push_back(maybe_reply);
-      continue;
-    }
-    RevokeTask* task = NewRevokeTask(key);
-    task->admin = true;
-    task->admin_done = maybe_reply;
-    cost += MarkPass(cap, task);
-    cost += FlushRevokeRequests(task);
-    CheckRevokeComplete(task);
-  }
-  Charge(cost);
-  maybe_reply();
   cur_trace_ = saved_trace;
 }
 

@@ -198,10 +198,6 @@ enum class IkcOp : uint8_t {
   kDelegateReq,
   kDelegateAck,   // second leg of the two-way handshake (paper §4.3.2)
   kRevokeReq,
-  // Extension (paper §5.2 future work: "we believe that this can be
-  // further improved by the use of message batching"): one request carries
-  // every child capability a peer kernel must revoke.
-  kRevokeBatchReq,
   kOrphanNotify,  // obtainer died: remove orphaned child (paper §4.3.2)
   kChildDrop,     // revoked cap had a live remote parent: unlink it
   // Extension (beyond the paper, which kept membership static): dynamic
@@ -247,7 +243,6 @@ struct IkcMsg : MsgBody {
   uint64_t token = 0;
 
   DdlKey cap;            // capability the operation targets (owner's key)
-  std::vector<DdlKey> caps;  // kRevokeBatchReq: all keys for this peer
   DdlKey child;          // proposed/affected child key
   DdlKey parent;         // parent key (kChildDrop)
   VpeId vpe = kInvalidVpe;   // requesting client VPE
@@ -285,8 +280,7 @@ struct IkcMsg : MsgBody {
     for (const auto& sub : batch) {
       batch_bytes += sub->WireSize();
     }
-    return static_cast<uint32_t>(112 + caps.size() * sizeof(uint64_t) + migrate_bytes +
-                                 batch_bytes);
+    return static_cast<uint32_t>(112 + migrate_bytes + batch_bytes);
   }
 };
 

@@ -85,7 +85,7 @@ DriverRig MakeDriverRig(uint32_t kernels, uint32_t users,
                         KernelMode mode = KernelMode::kSemperOSMulti);
 
 // Full-control variant: `pc.users` clients on a custom platform config
-// (flow-control window, timing model, revocation batching, ...).
+// (flow-control window, timing model, cap batching, ...).
 DriverRig MakeDriverRig(PlatformConfig pc);
 
 }  // namespace semperos

@@ -243,10 +243,11 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
     kc.membership = membership_;
     kc.kernel_nodes = kernel_nodes_;
     kc.max_inflight = config_.max_inflight;
-    kc.revoke_batching = config_.revoke_batching;
     kc.cap_batching = ResolveCapBatching(config_.cap_batching);
     kc.batch_window = config_.batch_window;
-    kc.batch_max_ops = config_.batch_max_ops;
+    // Off is the degenerate batch of one: every request flushes as the bare
+    // message the moment it is enqueued.
+    kc.batch_max_ops = kc.cap_batching ? config_.batch_max_ops : 1;
     kc.pe_types = pe_types_;
     // Quorum leaders report decreed takeovers so the platform's own
     // membership copy (and kernel_of()) mirrors exactly what the kernels

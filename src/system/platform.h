@@ -67,7 +67,6 @@ struct PlatformConfig {
   KernelMode mode = KernelMode::kSemperOSMulti;
   TimingModel timing = TimingModel::SemperOs();
   uint32_t max_inflight = 4;     // M_inflight (paper §5.1)
-  bool revoke_batching = false;  // extension: batch REVOKE_REQs per peer
   // Capability-IKC batching + pipelined ancestry walks + remote-DDL cache
   // (the --cap-batching ablation). Tri-state: -1 = auto (on, unless
   // SEMPEROS_CAP_BATCHING=0 overrides), 0 = off (the exact legacy IKC

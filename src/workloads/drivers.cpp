@@ -95,10 +95,9 @@ WorkloadResult RunAppDriver(const std::string& app, const WorkloadParams& p) {
   AppRunResult r = RunApp(config);
 
   WorkloadResult out;
-  out.Note(Fmt("%s: %u instances on %u kernels + %u services (%s%s)", app.c_str(),
+  out.Note(Fmt("%s: %u instances on %u kernels + %u services (%s)", app.c_str(),
                config.instances, config.kernels, config.services,
-               config.mode == KernelMode::kM3SingleKernel ? "M3 baseline" : "SemperOS",
-               p.Bool("batching") ? ", batching" : ""));
+               config.mode == KernelMode::kM3SingleKernel ? "M3 baseline" : "SemperOS"));
   double parallel_eff = ParallelEfficiency(solo, r.mean_runtime_us);
   out.Add("solo_runtime", solo, "us");
   out.Add("mean_runtime", r.mean_runtime_us, "us");
@@ -129,8 +128,7 @@ void RegisterApps() {
     spec.supports_strict = true;
     spec.params = {Kernels("8"), Services("8"),
                    {"instances", ParamType::kU32, "64", "parallel app instances", {}},
-                   {"mode", ParamType::kString, "semperos", "kernel mode", {"semperos", "m3"}},
-                   {"batching", ParamType::kBool, "0", "revocation batching (annotation)", {}}};
+                   {"mode", ParamType::kString, "semperos", "kernel mode", {"semperos", "m3"}}};
     spec.run = [app](const WorkloadParams& p) { return RunAppDriver(app, p); };
     WorkloadRegistry::Global().Register(std::move(spec));
   }
@@ -222,7 +220,7 @@ void RegisterFailover() {
   spec.validate = [](const WorkloadParams& p) -> std::string {
     uint32_t kernels = p.U32("kernels");
     if (kernels < 2) {
-      return Fmt("--failover needs at least 2 kernels (got %u)", kernels);
+      return Fmt("failover needs at least 2 kernels (got %u)", kernels);
     }
     const std::string& fk = p.Str("fail-kernel");
     size_t at = fk.find('@');
@@ -363,7 +361,7 @@ void RegisterTrace() {
   spec.params = {Kernels("8"), Services("8"),
                  {"file", ParamType::kString, "", "trace file path", {}}};
   spec.validate = [](const WorkloadParams& p) -> std::string {
-    return p.Str("file").empty() ? "trace: --file=PATH (or --trace=PATH) is required" : "";
+    return p.Str("file").empty() ? "trace: --file=PATH is required" : "";
   };
   spec.run = [](const WorkloadParams& p) {
     WorkloadResult out;

@@ -211,11 +211,6 @@ const WorkloadSpec* WorkloadRegistry::Find(const std::string& name) const {
 
 namespace {
 
-struct Selection {
-  std::string name;   // workload name selected
-  std::string token;  // the CLI token that selected it (for error messages)
-};
-
 WorkloadInvocation Fail(std::string error, bool show_catalogue = false) {
   WorkloadInvocation invocation;
   invocation.ok = false;
@@ -229,44 +224,31 @@ WorkloadInvocation Fail(std::string error, bool show_catalogue = false) {
 WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args) {
   const WorkloadRegistry& registry = WorkloadRegistry::Global();
 
-  // Pass 1: resolve the workload selection. Positional names are the
-  // registry interface; --app=NAME and the mode flags are deprecated
-  // aliases. Two tokens naming different workloads is a hard error (the old
-  // flag chain silently ran whichever branch came first).
-  std::vector<Selection> selections;
+  // Pass 1: resolve the workload selection by positional name. Two names
+  // naming different workloads is a hard error, never a silent pick.
+  std::vector<std::string> selections;
   std::vector<std::string> rest;
   bool list = false;
   for (const std::string& arg : args) {
     if (arg == "--list") {
       list = true;
     } else if (!arg.empty() && arg[0] != '-') {
-      selections.push_back({arg, arg});
-    } else if (arg.rfind("--app=", 0) == 0) {
-      selections.push_back({arg.substr(6), arg});
-    } else if (arg == "--nginx" || arg == "--micro" || arg == "--failover" || arg == "--chaos") {
-      selections.push_back({arg.substr(2), arg});
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      selections.push_back({"trace", arg});
-      rest.push_back("--file=" + arg.substr(8));
-    } else if (arg.rfind("--fail-kernel=", 0) == 0) {
-      // <id>@<us> selected the failover workload implicitly.
-      selections.push_back({"failover", arg});
-      rest.push_back(arg);
+      selections.push_back(arg);
     } else {
       rest.push_back(arg);
     }
   }
 
   for (size_t i = 1; i < selections.size(); ++i) {
-    if (selections[i].name != selections[0].name) {
+    if (selections[i] != selections[0]) {
       return Fail(Fmt("conflicting workload selections: '%s' and '%s' — pick one",
-                      selections[0].token.c_str(), selections[i].token.c_str()));
+                      selections[0].c_str(), selections[i].c_str()));
     }
   }
 
   WorkloadInvocation invocation;
   invocation.list = list;
-  std::string name = selections.empty() ? "tar" : selections[0].name;
+  std::string name = selections.empty() ? "tar" : selections[0];
   invocation.spec = registry.Find(name);
   if (invocation.spec == nullptr) {
     return Fail(Fmt("unknown workload '%s'; available workloads:", name.c_str()),
@@ -422,7 +404,6 @@ std::string FormatWorkloadList() {
   os << "                    sample the kernel metric registry on the simulated\n";
   os << "                    clock and write a metrics timeline JSON\n";
   os << "  --tail-exemplars=K  span trees kept per latency bucket (traffic only)\n";
-  os << "deprecated aliases: --app=NAME --nginx --micro --failover --chaos --trace=FILE\n";
   return os.str();
 }
 

@@ -18,10 +18,8 @@
 // generically, over the metric list instead of per workload.
 //
 // Workloads are selected by positional name (`semperos_sim traffic
-// --rate=...`); the pre-registry selector flags (--app=NAME, --nginx,
-// --micro, --failover, --chaos, --trace=FILE, --fail-kernel=...) are kept as
-// deprecated aliases so existing scripts, docs and repro commands keep
-// working. Selecting two different workloads in one invocation is an error.
+// --rate=...`). Selecting two different workloads in one invocation is an
+// error.
 #ifndef SEMPEROS_WORKLOADS_REGISTRY_H_
 #define SEMPEROS_WORKLOADS_REGISTRY_H_
 
@@ -139,9 +137,9 @@ struct WorkloadInvocation {
   bool strict = false;          // --strict: serial re-run must match exactly
 };
 
-// Parses argv[1..]: resolves the selected workload (positional name or a
-// deprecated selector alias), rejects conflicting selections, merges schema
-// defaults and validates every remaining flag against the schema.
+// Parses argv[1..]: resolves the selected workload by positional name,
+// rejects conflicting selections, merges schema defaults and validates every
+// remaining flag against the schema.
 WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args);
 
 // The --list catalogue, generated from the registry.

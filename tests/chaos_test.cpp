@@ -4,7 +4,7 @@
 // The regression corpus (tests/chaos_corpus/*.storms) is append-only: every
 // storm that ever exposed a real protocol bug lives there as one spec line
 // and is replayed here on every run. A failing replay prints the exact
-// one-command repro (`semperos_sim --chaos --seed=N ...`).
+// one-command repro (`semperos_sim chaos --seed=N ...`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -137,7 +137,7 @@ TEST(ChaosInjectedBug, SkippedOrphanRevocationIsCaughtAndShrinks) {
   EXPECT_LE(shrunk.users_per_kernel, config.users_per_kernel);
   StormResult replay = RunStorm(shrunk);
   EXPECT_FALSE(replay.ok) << "shrunk config no longer reproduces";
-  EXPECT_NE(ReproCommand(shrunk).find("--chaos"), std::string::npos);
+  EXPECT_EQ(ReproCommand(shrunk).rfind("semperos_sim chaos ", 0), 0u);
 }
 
 }  // namespace

@@ -2,11 +2,10 @@
 //
 // The registry is the single front door for every experiment: specs carry
 // the name, param schema and driver; ParseWorkloadCli resolves positional
-// selection plus the deprecated alias flags, merges schema defaults, and
-// validates every flag against the schema. This suite pins the behaviours
-// the CLI compatibility contract depends on — in particular that
-// contradictory workload selections are rejected loudly (the old flag chain
-// silently ran whichever branch came first).
+// selection, merges schema defaults, and validates every flag against the
+// schema. This suite pins the behaviours the CLI contract depends on — in
+// particular that contradictory workload selections are rejected loudly
+// (the old flag chain silently ran whichever branch came first).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -40,32 +39,32 @@ TEST(Registry, DefaultSelectionIsTar) {
   EXPECT_EQ(inv.params.U32("kernels"), 4u);
 }
 
-TEST(Registry, DeprecatedAliasesStillSelect) {
-  EXPECT_EQ(Parse({"--app=postmark"}).spec->name, "postmark");
-  EXPECT_EQ(Parse({"--nginx"}).spec->name, "nginx");
-  EXPECT_EQ(Parse({"--micro"}).spec->name, "micro");
-  EXPECT_EQ(Parse({"--failover"}).spec->name, "failover");
-  EXPECT_EQ(Parse({"--chaos"}).spec->name, "chaos");
-  // --fail-kernel=<id>@<us> implies failover and is kept as a param.
-  WorkloadInvocation inv = Parse({"--fail-kernel=2@1500"});
-  ASSERT_TRUE(inv.ok) << inv.error;
-  EXPECT_EQ(inv.spec->name, "failover");
-  EXPECT_EQ(inv.params.Str("fail-kernel"), "2@1500");
-}
-
 TEST(Registry, ConflictingSelectionsAreRejected) {
-  // The satellite fix: the old parser silently accepted e.g.
-  // `--failover --chaos` and ran only one of them.
-  WorkloadInvocation inv = Parse({"--failover", "--chaos"});
+  // Two different workload names are a hard error, never a silent pick.
+  WorkloadInvocation inv = Parse({"failover", "chaos"});
   EXPECT_FALSE(inv.ok);
   EXPECT_NE(inv.error.find("conflicting workload selections"), std::string::npos) << inv.error;
-  EXPECT_NE(inv.error.find("--failover"), std::string::npos) << inv.error;
-  EXPECT_NE(inv.error.find("--chaos"), std::string::npos) << inv.error;
+  EXPECT_NE(inv.error.find("'failover'"), std::string::npos) << inv.error;
+  EXPECT_NE(inv.error.find("'chaos'"), std::string::npos) << inv.error;
 
-  EXPECT_FALSE(Parse({"--app=tar", "nginx"}).ok);
-  EXPECT_FALSE(Parse({"traffic", "--micro"}).ok);
+  EXPECT_FALSE(Parse({"tar", "nginx"}).ok);
+  EXPECT_FALSE(Parse({"traffic", "micro"}).ok);
   // Naming the same workload twice is harmless, not a conflict.
-  EXPECT_TRUE(Parse({"--failover", "--fail-kernel=1@0"}).ok);
+  EXPECT_TRUE(Parse({"failover", "failover", "--fail-kernel=1@0"}).ok);
+}
+
+TEST(Registry, RemovedSelectorFlagsAreRejected) {
+  // Only positional names select a workload; a selector-style flag is an
+  // unknown parameter, never silently ignored.
+  for (const char* flag : {"--app=tar", "--nginx", "--micro", "--failover", "--chaos",
+                           "--trace=ops.txt"}) {
+    EXPECT_FALSE(Parse({flag}).ok) << flag;
+  }
+  // --fail-kernel is a failover param, not an implicit selector.
+  EXPECT_FALSE(Parse({"--fail-kernel=2@1500"}).ok);
+  WorkloadInvocation inv = Parse({"failover", "--fail-kernel=2@1500"});
+  ASSERT_TRUE(inv.ok) << inv.error;
+  EXPECT_EQ(inv.params.Str("fail-kernel"), "2@1500");
 }
 
 TEST(Registry, UnknownWorkloadShowsCatalogue) {

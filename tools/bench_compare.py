@@ -6,23 +6,26 @@ docs/benchmarks.md, "Wall-clock vs modeled cycles"):
 
 Modeled mode (default). Every figure/table binary reports *simulated* time
 (cycle-exact manual time), so runs are deterministic across machines and
-compilers: any drift beyond the threshold is a real behavioural regression,
-not noise. Wall-clock-only files (bench_simcore) are excluded — committing
-one into the baseline must never make the modeled gate machine-dependent.
+compilers: any drift beyond the threshold is a real behavioural change, not
+noise. The gate is two-sided — a modeled speed-up fails exactly like a
+slowdown, since either means the model moved — and its default threshold
+(1e-7 relative) only absorbs last-ulp rounding. Wall-clock-only files
+(bench_simcore) are excluded — committing one into the baseline must never
+make the modeled gate machine-dependent.
 
 Wall-clock mode (--wallclock). Compares only the wall-clock files
 (BENCH_simcore.json), whose real_time is HOST time. The default tolerance is
-generous (1.5x) to absorb machine and CI noise; use it to check that an
-engine change did not regress events/sec / messages/sec.
+generous (1.5x) and one-sided, to absorb machine and CI noise; use it to
+check that an engine change did not regress events/sec / messages/sec.
 
 Usage:
-    tools/bench_compare.py BASELINE_DIR NEW_DIR [--threshold 0.25]
+    tools/bench_compare.py BASELINE_DIR NEW_DIR [--threshold 1e-7]
     tools/bench_compare.py OLD_DIR NEW_DIR --wallclock [--threshold 0.5]
     tools/bench_compare.py OLD_DIR NEW_DIR --allow-rebaselined BENCH_foo.json
 
-Exits non-zero if any compared benchmark regressed by more than THRESHOLD
-(relative time increase), or if a compared baseline file or benchmark
-disappeared. New benchmarks (not in the baseline) are reported but do not
+Exits non-zero if any compared benchmark's time moved by more than THRESHOLD
+(relative; in either direction in modeled mode, slower only in wall-clock
+mode), or if a compared baseline file or benchmark disappeared. New benchmarks (not in the baseline) are reported but do not
 fail the gate — commit a refreshed baseline to cover them.
 
 An *intentional* rebaseline (a timing-model change that legitimately moves
@@ -88,8 +91,9 @@ def main():
     parser.add_argument("baseline_dir", type=pathlib.Path)
     parser.add_argument("new_dir", type=pathlib.Path)
     parser.add_argument("--threshold", type=float, default=None,
-                        help="maximum tolerated relative slowdown "
-                             "(default 0.25 modeled, 0.5 wall-clock)")
+                        help="maximum tolerated relative time change "
+                             "(default 1e-7 modeled, either direction; "
+                             "0.5 wall-clock, slowdowns only)")
     parser.add_argument("--wallclock", action="store_true",
                         help="compare the wall-clock files (bench_simcore) "
                              "instead of the modeled figure/table files")
@@ -103,7 +107,7 @@ def main():
     args = parser.parse_args()
     threshold = args.threshold
     if threshold is None:
-        threshold = 0.5 if args.wallclock else 0.25
+        threshold = 0.5 if args.wallclock else 1e-7
 
     def in_scope(path):
         return is_wallclock(path) == args.wallclock
@@ -145,9 +149,12 @@ def main():
             new_time = new_fields.get("real_time", 0.0)
             if base_time > 0:
                 ratio = new_time / base_time
+                # Modeled time is deterministic: a move either way is a
+                # model change. Host time only gates slowdowns.
+                moved = ratio - 1.0 if args.wallclock else abs(ratio - 1.0)
                 marker = ""
-                if ratio > 1.0 + threshold and not rebaselined:
-                    marker = "  <-- REGRESSION"
+                if moved > threshold and not rebaselined:
+                    marker = "  <-- REGRESSION" if ratio > 1.0 else "  <-- MODELED DRIFT"
                     failures.append(
                         f"{base_path.name}: '{name}' {base_time:.1f} -> {new_time:.1f} ns "
                         f"({(ratio - 1.0) * 100.0:+.1f}%)")
@@ -189,7 +196,8 @@ def main():
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print(f"no {kind} regressions beyond {threshold * 100:.0f}% — gate passed")
+    what = "slowdowns" if args.wallclock else "changes"
+    print(f"no {kind} {what} beyond a relative {threshold:g} — gate passed")
     return 0
 
 

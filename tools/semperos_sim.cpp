@@ -15,9 +15,6 @@
 //   semperos_sim ... --threads=auto --stats   # parallel engine + counters
 //   semperos_sim ... --threads=4 --strict     # assert parallel == serial
 //   semperos_sim --list                       # the full workload catalogue
-//
-// The pre-registry selector flags (--app=NAME, --nginx, --micro,
-// --failover, --chaos, --trace=FILE) keep working as deprecated aliases.
 #include <cstdio>
 #include <string>
 #include <vector>
