@@ -1,31 +1,31 @@
-// Revocation message batching (extension; paper §5.2 future work).
+// Revocation under capability-IKC batching (paper §5.2: revocation "can be
+// further improved by the use of message batching").
 //
-// Batched and unbatched revocation must be semantically identical — same
-// final state, same completeness guarantees — differing only in message
-// count and latency.
+// Revocation fan-out sends one REVOKE_REQ per remote child; with
+// cap_batching on, kCapBatch containers coalesce them per peer kernel.
+// Both modes must keep Algorithm 1's completeness — same final state, acks
+// only after full deletion — and differ only in message count and latency.
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "system/client.h"
 
 namespace semperos {
 namespace {
 
-DriverRig BatchRig(uint32_t kernels, uint32_t users, bool batching) {
+DriverRig RevokeRig(uint32_t kernels, uint32_t users, int cap_batching) {
   PlatformConfig pc;
   pc.kernels = kernels;
   pc.users = users;
-  pc.revoke_batching = batching;
-  // These tests isolate *revoke* batching's message-count effect; the
-  // cap-batching IKC container would fold the per-child REVOKE_REQs too
-  // and wash out the comparison (tests/cap_batching_test.cpp covers it).
-  pc.cap_batching = 0;
+  pc.cap_batching = cap_batching;
   return MakeDriverRig(pc);
 }
 
-class Batching : public ::testing::TestWithParam<bool> {};
+class CapBatchingRevoke : public ::testing::TestWithParam<int> {};
 
-TEST_P(Batching, TreeRevokeDeletesEverything) {
-  DriverRig rig = BatchRig(5, 17, GetParam());
+TEST_P(CapBatchingRevoke, TreeRevokeDeletesEverything) {
+  DriverRig rig = RevokeRig(5, 17, GetParam());
   CapSel root = rig.BuildTree(16);
   size_t before = 0;
   for (KernelId k = 0; k < 5; ++k) {
@@ -47,8 +47,8 @@ TEST_P(Batching, TreeRevokeDeletesEverything) {
   EXPECT_EQ(rig.p().TotalDrops(), 0u);
 }
 
-TEST_P(Batching, ChainRevokeStillWorks) {
-  DriverRig rig = BatchRig(2, 2, GetParam());
+TEST_P(CapBatchingRevoke, ChainRevokeStillWorks) {
+  DriverRig rig = RevokeRig(2, 2, GetParam());
   CapSel root = rig.BuildChain(12, {0, 1});
   bool acked = false;
   rig.client(0).env().Revoke(root, [&](const SyscallReply& r) {
@@ -59,14 +59,14 @@ TEST_P(Batching, ChainRevokeStillWorks) {
   EXPECT_TRUE(acked);
 }
 
-INSTANTIATE_TEST_SUITE_P(OnOff, Batching, ::testing::Bool(),
-                         [](const auto& param_info) { return param_info.param ? "batched" : "unbatched"; });
+INSTANTIATE_TEST_SUITE_P(OnOff, CapBatchingRevoke, ::testing::Values(0, 1),
+                         [](const auto& param_info) { return param_info.param ? "on" : "off"; });
 
-TEST(BatchingBehaviour, FewerMessagesThanPerChild) {
+TEST(CapBatchingRevokeBehaviour, FewerMessagesThanPerChild) {
   uint64_t ikc_plain = 0;
   uint64_t ikc_batched = 0;
-  for (bool batching : {false, true}) {
-    DriverRig rig = BatchRig(5, 33, batching);
+  for (int cap_batching : {0, 1}) {
+    DriverRig rig = RevokeRig(5, 33, cap_batching);
     CapSel root = rig.BuildTree(32);
     uint64_t before = rig.p().TotalKernelStats().ikc_sent;
     rig.client(0).env().Revoke(root, [](const SyscallReply& r) {
@@ -74,15 +74,15 @@ TEST(BatchingBehaviour, FewerMessagesThanPerChild) {
     });
     rig.p().RunToCompletion();
     uint64_t sent = rig.p().TotalKernelStats().ikc_sent - before;
-    (batching ? ikc_batched : ikc_plain) = sent;
+    (cap_batching != 0 ? ikc_batched : ikc_plain) = sent;
   }
-  // 32 children over 4 remote kernels: ~32 requests unbatched vs ~4 batched.
+  // 32 children over 4 remote kernels: 32 requests off vs ~4 containers on.
   EXPECT_LT(ikc_batched * 4, ikc_plain);
 }
 
-TEST(BatchingBehaviour, BatchedRevokeIsFasterOnWideTrees) {
-  auto measure = [](bool batching) {
-    DriverRig rig = BatchRig(13, 97, batching);
+TEST(CapBatchingRevokeBehaviour, BatchedRevokeIsFasterOnWideTrees) {
+  auto measure = [](int cap_batching) {
+    DriverRig rig = RevokeRig(13, 97, cap_batching);
     CapSel root = rig.BuildTree(96);
     return rig.TimedOp([&](std::function<void()> done) {
       rig.client(0).env().Revoke(root, [done](const SyscallReply& r) {
@@ -91,15 +91,15 @@ TEST(BatchingBehaviour, BatchedRevokeIsFasterOnWideTrees) {
       });
     });
   };
-  Cycles plain = measure(false);
-  Cycles batched = measure(true);
+  Cycles plain = measure(0);
+  Cycles batched = measure(1);
   EXPECT_LT(batched, plain);
 }
 
-TEST(BatchingBehaviour, OverlappingRevokesStayComplete) {
+TEST(CapBatchingRevokeBehaviour, OverlappingRevokesStayComplete) {
   // The "Incomplete" guarantee must survive batching: concurrent revokes on
   // overlapping subtrees both ack only after full deletion.
-  DriverRig rig = BatchRig(3, 9, true);
+  DriverRig rig = RevokeRig(3, 9, 1);
   CapSel root = rig.Grant(0);
   // root -> a (K1), a -> b (K2).
   size_t a = 3;  // some client on another kernel
