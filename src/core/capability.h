@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "base/log.h"
+#include "base/pool_alloc.h"
 #include "base/types.h"
 #include "core/ddl.h"
 #include "core/protocol.h"
@@ -22,6 +23,61 @@
 namespace semperos {
 
 struct RevokeTask;
+
+// A capability's child edges, in insertion order (revocation walks them in
+// that order). Almost every capability has zero or one child — an extent
+// handed to one client, a session — so the first child lives inline and a
+// list spills to a vector only on its second child. A spilled list keeps its
+// vector (and capacity) for good, so add/remove churn on a widely shared
+// capability (a service's root memory) allocates nothing either.
+class ChildList {
+ public:
+  const DdlKey* begin() const { return spill_.capacity() != 0 ? spill_.data() : &first_; }
+  const DdlKey* end() const { return begin() + size(); }
+  size_t size() const { return spill_.capacity() != 0 ? spill_.size() : inline_size_; }
+  bool empty() const { return size() == 0; }
+  DdlKey operator[](size_t i) const { return begin()[i]; }
+  DdlKey back() const {
+    CHECK(!empty());
+    return end()[-1];
+  }
+
+  void push_back(DdlKey child) {
+    if (spill_.capacity() != 0) {
+      spill_.push_back(child);
+    } else if (inline_size_ == 0) {
+      first_ = child;
+      inline_size_ = 1;
+    } else {
+      spill_.reserve(4);
+      spill_.push_back(first_);
+      spill_.push_back(child);
+    }
+  }
+
+  // Removes the first occurrence of `child`, keeping the others in order.
+  bool Remove(DdlKey child) {
+    if (spill_.capacity() != 0) {
+      for (auto it = spill_.begin(); it != spill_.end(); ++it) {
+        if (*it == child) {
+          spill_.erase(it);
+          return true;
+        }
+      }
+      return false;
+    }
+    if (inline_size_ != 0 && first_ == child) {
+      inline_size_ = 0;
+      return true;
+    }
+    return false;
+  }
+
+ private:
+  DdlKey first_;
+  uint32_t inline_size_ = 0;  // 0 or 1 while nothing spilled
+  std::vector<DdlKey> spill_;
+};
 
 class Capability {
  public:
@@ -36,19 +92,9 @@ class Capability {
   DdlKey parent() const { return parent_; }
   void set_parent(DdlKey parent) { parent_ = parent; }
 
-  const std::vector<DdlKey>& children() const { return children_; }
-  void AddChild(DdlKey child) {
-    children_.push_back(child);
-  }
-  bool RemoveChild(DdlKey child) {
-    for (auto it = children_.begin(); it != children_.end(); ++it) {
-      if (*it == child) {
-        children_.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
+  const ChildList& children() const { return children_; }
+  void AddChild(DdlKey child) { children_.push_back(child); }
+  bool RemoveChild(DdlKey child) { return children_.Remove(child); }
 
   // Resource description (what a child capability would inherit).
   CapPayload& payload() { return payload_; }
@@ -76,7 +122,7 @@ class Capability {
   VpeId holder_;
   CapSel sel_;
   DdlKey parent_;
-  std::vector<DdlKey> children_;
+  ChildList children_;
   CapPayload payload_;
   RevokeTask* task_ = nullptr;
   bool activated_ = false;
@@ -236,21 +282,22 @@ class VpeTable {
   uint32_t live_ = 0;
 };
 
-// Per-kernel capability storage, indexed by DDL key.
+// Per-kernel capability storage, indexed by DDL key. Capabilities live by
+// value in pooled hash nodes: a node never moves, so a Capability* stays
+// valid until the capability is erased.
 class CapSpace {
  public:
+  using Map = PooledHashMap<DdlKey, Capability>;
+
   Capability* Create(DdlKey key, CapType type, VpeId holder, CapSel sel) {
-    auto cap = std::make_unique<Capability>(key, type, holder, sel);
-    Capability* raw = cap.get();
-    auto [it, inserted] = caps_.emplace(key, std::move(cap));
+    auto [it, inserted] = caps_.try_emplace(key, key, type, holder, sel);
     CHECK(inserted) << "duplicate DDL key";
-    (void)it;
-    return raw;
+    return &it->second;
   }
 
   Capability* Find(DdlKey key) const {
     auto it = caps_.find(key);
-    return it == caps_.end() ? nullptr : it->second.get();
+    return it == caps_.end() ? nullptr : const_cast<Capability*>(&it->second);
   }
 
   void Erase(DdlKey key) {
@@ -260,10 +307,10 @@ class CapSpace {
 
   size_t size() const { return caps_.size(); }
 
-  const std::unordered_map<DdlKey, std::unique_ptr<Capability>>& all() const { return caps_; }
+  const Map& all() const { return caps_; }
 
  private:
-  std::unordered_map<DdlKey, std::unique_ptr<Capability>> caps_;
+  Map caps_;
 };
 
 }  // namespace semperos

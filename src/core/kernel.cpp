@@ -374,15 +374,13 @@ void Kernel::OnSyscall(EpId ep, const Message& msg) {
   ctx.vpe = req->vpe;
   ctx.recv_ep = ep;
   ctx.msg = msg;
-  ctx.valid = true;
   if (obs::Tracer* tr = tracer(); tr != nullptr && msg.body->trace_id != 0) {
     ctx.trace_span = tr->NextSpanId(pe_->node());
     ctx.trace_start = pe_->sim()->Now();
   }
 
   if (shutting_down_) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kAborted); });
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), ErrCode::kAborted);
     return;
   }
   VpeState* v = vpes_.Find(req->vpe);
@@ -393,17 +391,15 @@ void Kernel::OnSyscall(EpId ep, const Message& msg) {
     if (migrated) {
       stats_.syscalls_frozen++;
     }
-    Finish(t_.syscall_dispatch + t_.syscall_reply, [this, ctx, migrated] {
-      ReplySyscall(ctx, migrated ? ErrCode::kVpeMigrating : ErrCode::kNoSuchVpe);
-    });
+    ErrCode err = migrated ? ErrCode::kVpeMigrating : ErrCode::kNoSuchVpe;
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), err);
     return;
   }
   if (v->migrating) {
     // Frozen for migration: the user-level runtime retries transparently;
     // by then the syscall endpoint points at the new kernel.
     stats_.syscalls_frozen++;
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kVpeMigrating); });
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), ErrCode::kVpeMigrating);
     return;
   }
 
@@ -411,31 +407,31 @@ void Kernel::OnSyscall(EpId ep, const Message& msg) {
   cur_trace_ = TraceCtx{msg.body->trace_id, ctx.trace_span};
   switch (req->op) {
     case SyscallOp::kNoop:
-      SysNoop(ctx, *req);
+      SysNoop(std::move(ctx), *req);
       break;
     case SyscallOp::kOpenSession:
-      SysOpenSession(ctx, *req);
+      SysOpenSession(std::move(ctx), *req);
       break;
     case SyscallOp::kExchange:
-      SysExchange(ctx, *req);
+      SysExchange(std::move(ctx), *req);
       break;
     case SyscallOp::kObtain:
-      SysObtain(ctx, *req);
+      SysObtain(std::move(ctx), *req);
       break;
     case SyscallOp::kDelegate:
-      SysDelegate(ctx, *req);
+      SysDelegate(std::move(ctx), *req);
       break;
     case SyscallOp::kRevoke:
-      SysRevoke(ctx, *req);
+      SysRevoke(std::move(ctx), *req);
       break;
     case SyscallOp::kActivate:
-      SysActivate(ctx, *req);
+      SysActivate(std::move(ctx), *req);
       break;
     case SyscallOp::kDeriveMem:
-      SysDeriveMem(ctx, *req);
+      SysDeriveMem(std::move(ctx), *req);
       break;
     case SyscallOp::kRegisterService:
-      SysRegisterService(ctx, *req);
+      SysRegisterService(std::move(ctx), *req);
       break;
   }
   cur_trace_ = TraceCtx{};
@@ -443,6 +439,15 @@ void Kernel::OnSyscall(EpId ep, const Message& msg) {
 
 void Kernel::ReplySyscall(SyscallCtx ctx, ErrCode err, CapSel sel, const CapPayload& payload,
                           MsgRef opaque) {
+  auto reply = NewMsg<SyscallReply>();
+  reply->err = err;
+  reply->sel = sel;
+  reply->cap = payload;
+  reply->payload = std::move(opaque);
+  ReplySyscall(std::move(ctx), std::move(reply));
+}
+
+void Kernel::ReplySyscall(SyscallCtx ctx, std::shared_ptr<SyscallReply> reply) {
   ReleaseThread();
   const SyscallMsg* req = ctx.msg.As<SyscallMsg>();
   const VpeState* v = vpes_.Find(ctx.vpe);
@@ -454,12 +459,7 @@ void Kernel::ReplySyscall(SyscallCtx ctx, ErrCode err, CapSel sel, const CapPayl
     pe_->dtu().Ack(ctx.recv_ep, ctx.msg);
     return;
   }
-  auto reply = NewMsg<SyscallReply>();
   reply->token = req->token;
-  reply->err = err;
-  reply->sel = sel;
-  reply->cap = payload;
-  reply->payload = std::move(opaque);
   if (obs::Tracer* tr = tracer(); tr != nullptr && ctx.trace_span != 0) {
     uint64_t trace = ctx.msg.body->trace_id;
     // The reply's transit span hangs under the syscall span.
@@ -469,19 +469,19 @@ void Kernel::ReplySyscall(SyscallCtx ctx, ErrCode err, CapSel sel, const CapPayl
                pe_->sim()->Now(), pe_->node(), obs::SpanKind::kSyscall,
                static_cast<uint16_t>(req->op));
   }
-  pe_->dtu().Reply(ctx.recv_ep, ctx.msg, reply);
+  pe_->dtu().Reply(ctx.recv_ep, ctx.msg, std::move(reply));
 }
 
 void Kernel::SysNoop(SyscallCtx ctx, const SyscallMsg& req) {
   (void)req;
-  Finish(t_.syscall_dispatch + t_.syscall_reply, [this, ctx] { ReplySyscall(ctx, ErrCode::kOk); });
+  FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), ErrCode::kOk);
 }
 
 // ---------------------------------------------------------------------------
 // Shutdown (IKC functional group 1)
 // ---------------------------------------------------------------------------
 
-void Kernel::AdminShutdown(std::function<void()> done) {
+void Kernel::AdminShutdown(InlineFn done) {
   CHECK(!shutting_down_);
   shutting_down_ = true;
 
@@ -493,13 +493,7 @@ void Kernel::AdminShutdown(std::function<void()> done) {
       ids.push_back(vpe.id);
     }
   });
-  auto remaining = std::make_shared<uint32_t>(static_cast<uint32_t>(ids.size()) +
-                                              PeerCount() + 1);
-  auto maybe_done = [remaining, done] {
-    if (--*remaining == 0 && done) {
-      done();
-    }
-  };
+  Countdown maybe_done(static_cast<uint32_t>(ids.size()) + PeerCount() + 1, std::move(done));
   for (VpeId id : ids) {
     AdminKillVpe(id, maybe_done);
   }
@@ -522,14 +516,12 @@ void Kernel::AdminShutdown(std::function<void()> done) {
 void Kernel::SysActivate(SyscallCtx ctx, const SyscallMsg& req) {
   Capability* cap = CapOf(req.vpe, req.sel);
   if (cap == nullptr) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchCap); });
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), ErrCode::kNoSuchCap);
     return;
   }
   if (cap->marked()) {
     stats_.pointless_denials++;
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kCapRevoked); });
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), ErrCode::kCapRevoked);
     return;
   }
   NodeId node = vpes_.At(req.vpe).node;
@@ -541,9 +533,8 @@ void Kernel::SysActivate(SyscallCtx ctx, const SyscallMsg& req) {
     const CapPayload& p = cap->payload();
     MemPerms perms{(p.perms & kPermR) != 0, (p.perms & kPermW) != 0};
     pe_->dtu().ConfigureRemoteMem(node, req.ep, p.mem_node, p.mem_base, p.mem_size, perms,
-                                  [this, ctx] {
-                                    Finish(t_.syscall_reply,
-                                           [this, ctx] { ReplySyscall(ctx, ErrCode::kOk); });
+                                  [this, ctx = std::move(ctx)]() mutable {
+                                    FinishSyscall(t_.syscall_reply, std::move(ctx), ErrCode::kOk);
                                   });
     return;
   }
@@ -551,33 +542,29 @@ void Kernel::SysActivate(SyscallCtx ctx, const SyscallMsg& req) {
     cap->SetActivated(req.ep);
     const CapPayload& p = cap->payload();
     pe_->dtu().ConfigureRemoteSend(node, req.ep, p.dst_node, p.dst_ep, /*credits=*/1,
-                                   /*label=*/p.session, [this, ctx] {
-                                     Finish(t_.syscall_reply,
-                                            [this, ctx] { ReplySyscall(ctx, ErrCode::kOk); });
+                                   /*label=*/p.session, [this, ctx = std::move(ctx)]() mutable {
+                                     FinishSyscall(t_.syscall_reply, std::move(ctx), ErrCode::kOk);
                                    });
     return;
   }
-  Finish(t_.syscall_reply, [this, ctx] { ReplySyscall(ctx, ErrCode::kInvalidCapType); });
+  FinishSyscall(t_.syscall_reply, std::move(ctx), ErrCode::kInvalidCapType);
 }
 
 void Kernel::SysDeriveMem(SyscallCtx ctx, const SyscallMsg& req) {
   Capability* cap = CapOf(req.vpe, req.sel);
   if (cap == nullptr || cap->type() != CapType::kMem) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply, [this, ctx, cap] {
-      ReplySyscall(ctx, cap == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType);
-    });
+    ErrCode err = cap == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType;
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), err);
     return;
   }
   if (cap->marked()) {
     stats_.pointless_denials++;
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kCapRevoked); });
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), ErrCode::kCapRevoked);
     return;
   }
   const CapPayload& p = cap->payload();
   if (req.arg0 + req.arg1 > p.mem_size || (req.perms & ~p.perms) != 0) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kNoPerm); });
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), ErrCode::kNoPerm);
     return;
   }
   CapPayload child_payload = p;
@@ -587,11 +574,14 @@ void Kernel::SysDeriveMem(SyscallCtx ctx, const SyscallMsg& req) {
   Capability* child = CreateCap(&vpes_.At(req.vpe), CapType::kMem, child_payload, cap->key());
   cap->AddChild(child->key());
   stats_.derives++;
-  CapSel sel = child->sel();
+  auto reply = NewMsg<SyscallReply>();
+  reply->err = ErrCode::kOk;
+  reply->sel = child->sel();
+  reply->cap = child_payload;
   Finish(t_.syscall_dispatch + t_.exchange_validate + t_.cap_create + t_.tree_insert +
              3 * t_.ddl_decode + t_.syscall_reply,
-         [this, ctx, sel, child_payload] {
-           ReplySyscall(ctx, ErrCode::kOk, sel, child_payload);
+         [this, ctx = std::move(ctx), reply = std::move(reply)]() mutable {
+           ReplySyscall(std::move(ctx), std::move(reply));
          });
 }
 
@@ -631,7 +621,9 @@ void Kernel::SysRegisterService(SyscallCtx ctx, const SyscallMsg& req) {
   }
   CapSel sel = cap->sel();
   Finish(t_.syscall_dispatch + t_.cap_create + t_.syscall_reply,
-         [this, ctx, sel] { ReplySyscall(ctx, ErrCode::kOk, sel); });
+         [this, ctx = std::move(ctx), sel]() mutable {
+           ReplySyscall(std::move(ctx), ErrCode::kOk, sel);
+         });
 }
 
 }  // namespace semperos

@@ -41,7 +41,6 @@
 #ifndef SEMPEROS_CORE_KERNEL_H_
 #define SEMPEROS_CORE_KERNEL_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -50,6 +49,8 @@
 #include <utility>
 #include <vector>
 
+#include "base/pool_alloc.h"
+#include "base/ring.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "core/capability.h"
@@ -134,7 +135,7 @@ struct RevokeTask {
   EpId reply_recv_ep = 0;
   Message reply_msg;
   uint64_t req_token = 0;
-  std::function<void()> admin_done;
+  InlineFn admin_done;
   // Parent to unlink the root from once the subtree is gone (initiator and
   // admin tasks only; for participant tasks the requesting kernel's own
   // revocation covers the parent).
@@ -170,7 +171,7 @@ struct MigrateTask {
   uint64_t epoch = 0;          // membership epoch assigned to the handoff
   uint32_t outstanding = 0;    // EPOCH_UPDATE acks still missing
   uint32_t quiesce_polls = 0;
-  std::function<void(ErrCode)> done;
+  UniqueFn<void(ErrCode)> done;
   // Requests for the moving partition that arrived during kTransfer.
   struct ParkedIkc {
     EpId ep = 0;
@@ -183,7 +184,7 @@ struct MigrateTask {
   // would be silently lost when the destination installs the (stale)
   // snapshot; they re-run once the handoff resolved — routed to the new
   // owner on success, applied locally on refusal.
-  std::vector<std::function<void()>> deferred_unlinks;
+  std::vector<InlineFn> deferred_unlinks;
   // Observability: migrations originate at the platform, so they root their
   // own trace; the kMigration span covers freeze -> settled. The transfer
   // IKC and the settle-round EPOCH_UPDATEs nest under it.
@@ -266,7 +267,7 @@ class Kernel : public Program {
 
   // Kills a VPE: marks it dead and revokes every capability it holds.
   // `done` fires when all revocations completed.
-  void AdminKillVpe(VpeId vpe, std::function<void()> done);
+  void AdminKillVpe(VpeId vpe, InlineFn done);
 
   // Migrates the PE (and its VPE + capability partition) from this kernel
   // to `dst`: freezes the VPE, quiesces in-flight operations on the moving
@@ -275,13 +276,13 @@ class Kernel : public Program {
   // epoch-versioned EPOCH_UPDATE. `done` fires with kOk once every peer
   // acknowledged the new epoch (no more forwarding needed), or with an
   // error if the migration could not start.
-  void AdminMigratePe(NodeId pe, KernelId dst, std::function<void(ErrCode)> done);
+  void AdminMigratePe(NodeId pe, KernelId dst, UniqueFn<void(ErrCode)> done);
 
   // Graceful shutdown (IKC functional group 1, paper §4.1): kills every
   // VPE of this group (revoking all their capabilities, including remote
   // copies), refuses further system calls, and notifies all peer kernels.
   // `done` fires when the teardown settled.
-  void AdminShutdown(std::function<void()> done);
+  void AdminShutdown(InlineFn done);
   bool shutting_down() const { return shutting_down_; }
 
   // --- Fault tolerance (src/ft) ---
@@ -359,13 +360,35 @@ class Kernel : public Program {
  private:
   static constexpr const char* kTag = "kernel";  // log tag
 
+  // Runs `done` once it was called `count` times, one call per
+  // sub-operation of an admin action. Copies share the count, so every
+  // sub-operation gets its own copy.
+  class Countdown {
+   public:
+    Countdown(uint32_t count, InlineFn done)
+        : state_(std::make_shared<State>(State{count, std::move(done)})) {}
+    void operator()() const {
+      if (--state_->remaining == 0 && state_->done) {
+        state_->done();
+      }
+    }
+
+   private:
+    struct State {
+      uint32_t remaining;
+      InlineFn done;
+    };
+    std::shared_ptr<State> state_;
+  };
+
   // ===== Pending distributed operations (suspended kernel threads) =====
 
+  // A system call in service: where to reply. Moved, never copied, down the
+  // continuation chain that finally replies.
   struct SyscallCtx {
     VpeId vpe = kInvalidVpe;
     EpId recv_ep = 0;
     Message msg;
-    bool valid = false;
     // Observability: the kSyscall span covering this call's service. The id
     // is preallocated at arrival so IKCs/asks issued on the call's behalf
     // can parent under it; ReplySyscall records the completed span. The
@@ -374,23 +397,23 @@ class Kernel : public Program {
     Cycles trace_start = 0;
   };
 
+  // The obtaining VPE is sc.vpe.
   struct ObtainOp {
     uint64_t token = 0;
     SyscallCtx sc;
-    DdlKey child_key;        // key proposed for the new capability
-    VpeId client = kInvalidVpe;
-    bool spanning = false;
-    bool open_session = false;
+    DdlKey child_key;                    // key proposed for the new capability
     NodeId service_node = kInvalidNode;  // for session EP setup
+    bool open_session = false;
   };
+  // A local obtain's continuation holds `this` and its ObtainOp in place.
+  static_assert(sizeof(ObtainOp) + sizeof(void*) <= InlineFn::kInlineBytes);
 
+  // The delegating VPE is sc.vpe.
   struct DelegateOp {
     uint64_t token = 0;
     SyscallCtx sc;
     DdlKey cap;  // the delegated (parent) capability, owned locally
-    VpeId client = kInvalidVpe;
     VpeId peer = kInvalidVpe;
-    bool spanning = false;
   };
 
   // Receiver-side parked delegate (two-way handshake, waiting for the ACK).
@@ -402,13 +425,16 @@ class Kernel : public Program {
     KernelId from_kernel = kInvalidKernel;
   };
 
+  using AskReplyFn = UniqueFn<void(const AskReply&)>;
+  using IkcReplyFn = UniqueFn<void(const IkcReply&)>;
+
   // Ask sent to a party/service, waiting for the AskReply. Carries the
   // asked node so migration quiesce can tell whether an exchange-ask still
   // targets the moving partition (one map, one entry per ask).
   struct PendingAsk {
     uint64_t token = 0;
     NodeId node = kInvalidNode;
-    std::function<void(const AskReply&)> cb;
+    AskReplyFn cb;
     // Observability: the kAsk span (round trip to the party) plus the trace
     // context to restore before `cb` runs, so spans caused by the
     // continuation stay linked to the request.
@@ -429,7 +455,7 @@ class Kernel : public Program {
     uint64_t token = 0;
     KernelId peer = kInvalidKernel;
     uint32_t relay_hops = 0;
-    std::function<void(const IkcReply&)> cb;
+    IkcReplyFn cb;
     // Observability: the kIkcRtt span (request out -> reply callback). Its
     // id travels as the request's trace_parent, so everything the remote
     // kernel does on this call's behalf nests under the round trip.
@@ -445,7 +471,7 @@ class Kernel : public Program {
   // trigger fires, then leave as one kCapBatch container through `queue`.
   struct PeerState {
     uint32_t credits = 0;
-    std::deque<std::shared_ptr<IkcMsg>> queue;
+    Ring<std::shared_ptr<IkcMsg>> queue;
     std::vector<std::shared_ptr<IkcMsg>> batch;
     bool batch_timer_armed = false;
     Cycles batch_opened = 0;  // obs: when the open batch started buffering
@@ -507,13 +533,13 @@ class Kernel : public Program {
   // ===== Obtain path (also used for open-session and session exchange) =====
   // Owner-side: ask the party, link the proposed child under the shared
   // capability, return its description.
+  using ObtainDoneFn =
+      UniqueFn<void(ErrCode, DdlKey parent, const CapPayload&, MsgRef, uint64_t session)>;
   void OwnerSideObtain(AskOp ask_op, DdlKey owner_cap, VpeId owner_vpe, CapSel owner_sel,
                        VpeId client, DdlKey child_key, MsgRef opaque, uint64_t session,
-                       std::function<void(ErrCode, DdlKey parent, const CapPayload&, MsgRef,
-                                          uint64_t session)>
-                           done);
+                       ObtainDoneFn done);
   void FinishObtain(ObtainOp op, ErrCode err, DdlKey parent, const CapPayload& payload,
-                    MsgRef opaque, uint64_t session);
+                    MsgRef opaque);
 
   // ===== Delegate path =====
   void OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& msg);
@@ -522,7 +548,7 @@ class Kernel : public Program {
   // runs after the charged cost with the outcome; used both by the IKC
   // handler and for local delivery when the receiver's partition migrated
   // onto the delegator's kernel mid-handshake.
-  void ApplyDelegateAck(bool abort, DdlKey child_key, std::function<void(ErrCode)> reply);
+  void ApplyDelegateAck(bool abort, DdlKey child_key, UniqueFn<void(ErrCode)> reply);
   // Removes `child` from `parent`'s children list, wherever the parent
   // currently lives: locally when this kernel owns the parent's partition,
   // via CHILD_DROP / ORPHAN_NOTIFY IKC otherwise. If the parent's partition
@@ -598,9 +624,15 @@ class Kernel : public Program {
   KernelId KernelOf(DdlKey key) const { return config_.membership.KernelOfKey(key); }
   KernelId KernelOfVpe(VpeId vpe) const { return config_.membership.KernelOf(vpe); }
   bool IsLocalVpe(VpeId vpe) const { return KernelOfVpe(vpe) == config_.id; }
-  void SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, std::function<void(const IkcReply&)> cb);
+  void SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, IkcReplyFn cb);
   void DispatchIkc(KernelId peer);
   void ReplyIkc(EpId recv_ep, const Message& msg, std::shared_ptr<IkcReply> reply);
+  // Queues ReplyIkc on the egress sequencer (see Emit), released at `ready`.
+  void EmitIkcReply(Cycles ready, EpId recv_ep, Message msg, std::shared_ptr<IkcReply> reply) {
+    Emit(ready, [this, recv_ep, msg = std::move(msg), reply = std::move(reply)]() mutable {
+      ReplyIkc(recv_ep, msg, std::move(reply));
+    });
+  }
   void BroadcastHello();
   // --- Cross-kernel chatter optimisation (--cap-batching) ---
   // Ops eligible for kCapBatch coalescing: per-capability request traffic.
@@ -638,7 +670,7 @@ class Kernel : public Program {
   Cycles DdlDecodeCostVpe(VpeId vpe);
 
   // ===== Party asks =====
-  void AskParty(NodeId node, std::shared_ptr<AskMsg> ask, std::function<void(const AskReply&)> cb);
+  void AskParty(NodeId node, std::shared_ptr<AskMsg> ask, AskReplyFn cb);
 
   // ===== Service directory =====
   struct ServiceEntry {
@@ -653,8 +685,16 @@ class Kernel : public Program {
   // ===== Replies & cost accounting =====
   void ReplySyscall(SyscallCtx ctx, ErrCode err, CapSel sel = kInvalidSel,
                     const CapPayload& payload = {}, MsgRef opaque = nullptr);
+  // Same, with the reply body built up front (err, sel, cap and payload set):
+  // a continuation then carries one pointer instead of the reply's fields.
+  void ReplySyscall(SyscallCtx ctx, std::shared_ptr<SyscallReply> reply);
   // Charges `cost` on the kernel core, then runs `effects` (sends replies).
   void Finish(Cycles cost, InlineFn&& effects) { pe_->exec().Post(cost, std::move(effects)); }
+  // Charges `cost`, then answers the call with `err`.
+  void FinishSyscall(Cycles cost, SyscallCtx ctx, ErrCode err) {
+    Finish(cost,
+           [this, ctx = std::move(ctx), err]() mutable { ReplySyscall(std::move(ctx), err); });
+  }
   // Charges `cost` and returns the completion time (for Emit below).
   Cycles Charge(Cycles cost) { return pe_->exec().Occupy(cost); }
 
@@ -704,19 +744,21 @@ class Kernel : public Program {
 
   // ===== Observability state =====
   TraceCtx cur_trace_;
-  std::map<std::pair<NodeId, uint64_t>, IkcHandling> ikc_handling_;
+  PooledMap<std::pair<NodeId, uint64_t>, IkcHandling> ikc_handling_;
   // Failover recovery span: opened when the first verdict is applied here,
   // recorded when ft_pending_recovery_ drains back to zero.
   uint64_t ft_trace_ = 0;
   uint64_t ft_span_ = 0;
   Cycles ft_trace_start_ = 0;
 
-  std::unordered_map<uint64_t, ObtainOp> obtains_;
-  std::unordered_map<uint64_t, DelegateOp> delegates_;
-  std::unordered_map<uint64_t, ParkedDelegate> parked_delegates_;
-  std::unordered_map<uint64_t, PendingAsk> asks_;
-  std::unordered_map<uint64_t, PendingIkc> ikcs_;
-  std::unordered_map<uint64_t, std::unique_ptr<RevokeTask>> revoke_tasks_;
+  // Suspended operations, keyed by token (revocations by task id). Pooled
+  // nodes: an operation's entry is recycled for the next one.
+  PooledHashMap<uint64_t, ObtainOp> obtains_;
+  PooledHashMap<uint64_t, DelegateOp> delegates_;
+  PooledHashMap<uint64_t, ParkedDelegate> parked_delegates_;
+  PooledHashMap<uint64_t, PendingAsk> asks_;
+  PooledHashMap<uint64_t, PendingIkc> ikcs_;
+  PooledHashMap<uint64_t, RevokeTask> revoke_tasks_;
   std::map<uint64_t, std::unique_ptr<MigrateTask>> migrate_tasks_;
   // PEs this kernel handed off, with their new owner. Syscalls from a
   // migrated VPE still land here until its send endpoint was retargeted;
@@ -732,21 +774,21 @@ class Kernel : public Program {
   std::map<std::string, std::vector<ServiceEntry>> services_;
 
   // Incoming REVOKE_REQs beyond the two revocation threads wait here.
-  std::deque<InlineFn> revoke_queue_;
+  Ring<InlineFn> revoke_queue_;
   uint32_t revoke_threads_busy_ = 0;
 
   // Kernel-to-kernel egress (see Emit).
   struct EgressMsg {
-    Cycles ready;
+    Cycles ready = 0;
     InlineFn send;
   };
-  std::deque<EgressMsg> egress_;
+  Ring<EgressMsg> egress_;
   bool egress_scheduled_ = false;
 
   // Kernel -> service ask flow control.
   struct AskWindow {
     uint32_t inflight = 0;
-    std::deque<std::function<void()>> queue;
+    Ring<InlineFn> queue;
   };
   std::map<NodeId, AskWindow> ask_windows_;
 

@@ -16,9 +16,7 @@ namespace semperos {
 
 void Kernel::OwnerSideObtain(AskOp ask_op, DdlKey owner_cap, VpeId owner_vpe, CapSel owner_sel,
                              VpeId client, DdlKey child_key, MsgRef opaque, uint64_t session,
-                             std::function<void(ErrCode, DdlKey, const CapPayload&, MsgRef,
-                                                uint64_t)>
-                                 done) {
+                             ObtainDoneFn done) {
   VpeState* owner = vpes_.Find(owner_vpe);
   if (owner == nullptr || !owner->alive) {
     done(ErrCode::kVpeGone, DdlKey(), CapPayload(), nullptr, 0);
@@ -57,8 +55,9 @@ void Kernel::OwnerSideObtain(AskOp ask_op, DdlKey owner_cap, VpeId owner_vpe, Ca
   ask->session = session;
   ask->payload = std::move(opaque);
 
-  AskParty(owner->node, ask,
-           [this, ask_op, owner_vpe, child_key, done = std::move(done)](const AskReply& reply) {
+  AskParty(owner->node, std::move(ask),
+           [this, ask_op, owner_vpe, child_key,
+            done = std::move(done)](const AskReply& reply) mutable {
              if (reply.err != ErrCode::kOk) {
                done(reply.err, DdlKey(), CapPayload(), reply.payload, reply.session);
                return;
@@ -91,15 +90,15 @@ void Kernel::OwnerSideObtain(AskOp ask_op, DdlKey owner_cap, VpeId owner_vpe, Ca
 }
 
 void Kernel::FinishObtain(ObtainOp op, ErrCode err, DdlKey parent, const CapPayload& payload,
-                          MsgRef opaque, uint64_t session) {
-  (void)session;
+                          MsgRef opaque) {
   if (err != ErrCode::kOk) {
-    Finish(t_.syscall_reply, [this, op, err, opaque] {
-      ReplySyscall(op.sc, err, kInvalidSel, CapPayload(), opaque);
-    });
+    Finish(t_.syscall_reply,
+           [this, sc = std::move(op.sc), opaque = std::move(opaque), err]() mutable {
+             ReplySyscall(std::move(sc), err, kInvalidSel, CapPayload(), std::move(opaque));
+           });
     return;
   }
-  VpeState* client = vpes_.Find(op.client);
+  VpeState* client = vpes_.Find(op.sc.vpe);
   if (client == nullptr || !client->alive) {
     // Obtainer died while the exchange was in flight: the owner now tracks
     // an orphaned child. Notify its kernel for quick removal (§4.3.2).
@@ -111,14 +110,18 @@ void Kernel::FinishObtain(ObtainOp op, ErrCode err, DdlKey parent, const CapPayl
   }
 
   CapSel sel = client->AllocSel();
-  Capability* cap = caps_.Create(op.child_key, payload.type, op.client, sel);
+  Capability* cap = caps_.Create(op.child_key, payload.type, op.sc.vpe, sel);
   cap->payload() = payload;
   cap->set_parent(parent);
   client->table.Set(sel, op.child_key);
   stats_.caps_created++;
   stats_.obtains++;
 
-  CapPayload reply_payload = payload;
+  auto reply = NewMsg<SyscallReply>();
+  reply->err = ErrCode::kOk;
+  reply->sel = sel;
+  reply->cap = payload;
+  reply->payload = std::move(opaque);
   if (op.open_session) {
     stats_.sessions_opened++;
     // Configure the client's session send gate (the channel of Figure 3
@@ -127,41 +130,41 @@ void Kernel::FinishObtain(ObtainOp op, ErrCode err, DdlKey parent, const CapPayl
     pe_->dtu().ConfigureRemoteSend(
         client->node, user_ep::kServiceSend, op.service_node, user_ep::kServiceRecv,
         /*credits=*/1, /*label=*/payload.session,
-        [this, op, sel, reply_payload, opaque] {
+        [this, sc = std::move(op.sc), reply = std::move(reply)]() mutable {
           Finish(t_.syscall_reply,
-                 [this, op, sel, reply_payload, opaque] {
-                   ReplySyscall(op.sc, ErrCode::kOk, sel, reply_payload, opaque);
+                 [this, sc = std::move(sc), reply = std::move(reply)]() mutable {
+                   ReplySyscall(std::move(sc), std::move(reply));
                  });
         });
     return;
   }
-  Finish(t_.cap_create + t_.ddl_decode + t_.syscall_reply, [this, op, sel, reply_payload, opaque] {
-    ReplySyscall(op.sc, ErrCode::kOk, sel, reply_payload, opaque);
-  });
+  Finish(t_.cap_create + t_.ddl_decode + t_.syscall_reply,
+         [this, sc = std::move(op.sc), reply = std::move(reply)]() mutable {
+           ReplySyscall(std::move(sc), std::move(reply));
+         });
 }
 
 void Kernel::SysObtain(SyscallCtx ctx, const SyscallMsg& req) {
   ObtainOp op;
   op.token = next_token_++;
-  op.sc = ctx;
-  op.client = req.vpe;
+  op.sc = std::move(ctx);
   op.child_key = AllocKey(req.vpe, CapType::kNone);
 
   if (IsLocalVpe(req.peer)) {
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode);
     OwnerSideObtain(AskOp::kObtain, DdlKey(), req.peer, req.sel, req.vpe, op.child_key, nullptr, 0,
-                    [this, op](ErrCode err, DdlKey parent, const CapPayload& payload, MsgRef opq,
-                               uint64_t session) {
-                      FinishObtain(op, err, parent, payload, opq, session);
+                    [this, op = std::move(op)](ErrCode err, DdlKey parent,
+                                               const CapPayload& payload, MsgRef opq,
+                                               uint64_t) mutable {
+                      FinishObtain(std::move(op), err, parent, payload, std::move(opq));
                     });
     return;
   }
 
   // Group-spanning: forward to the owner's kernel (Figure 3, sequence B).
   stats_.spanning_obtains++;
-  op.spanning = true;
   uint64_t token = op.token;
-  obtains_[token] = op;
+  obtains_.emplace(token, std::move(op));
   Charge(t_.syscall_dispatch + DdlDecodeCostVpe(req.peer) +
          IkcSendCost(KernelOfVpe(req.peer), IkcOp::kObtainReq));
   auto msg = NewMsg<IkcMsg>();
@@ -175,11 +178,10 @@ void Kernel::SysObtain(SyscallCtx ctx, const SyscallMsg& req) {
   SendIkc(KernelOfVpe(req.peer), msg, [this, token](const IkcReply& reply) {
     auto it = obtains_.find(token);
     CHECK(it != obtains_.end());
-    ObtainOp pending = it->second;
+    ObtainOp pending = std::move(it->second);
     obtains_.erase(it);
     Charge(t_.ikc_reply_handle);
-    FinishObtain(pending, reply.err, reply.cap, reply.payload, reply.opaque,
-                 reply.payload.session);
+    FinishObtain(std::move(pending), reply.err, reply.cap, reply.payload, reply.opaque);
   });
 }
 
@@ -221,15 +223,13 @@ const Kernel::ServiceEntry* Kernel::PickService(const std::string& name, VpeId c
 void Kernel::SysOpenSession(SyscallCtx ctx, const SyscallMsg& req) {
   const ServiceEntry* svc = PickService(req.name, req.vpe);
   if (svc == nullptr) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchService); });
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), ErrCode::kNoSuchService);
     return;
   }
 
   ObtainOp op;
   op.token = next_token_++;
-  op.sc = ctx;
-  op.client = req.vpe;
+  op.sc = std::move(ctx);
   op.child_key = AllocKey(req.vpe, CapType::kSession);
   op.open_session = true;
   op.service_node = svc->node;
@@ -238,17 +238,17 @@ void Kernel::SysOpenSession(SyscallCtx ctx, const SyscallMsg& req) {
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode + t_.session_exchange_extra);
     OwnerSideObtain(AskOp::kOpenSession, svc->cap, svc->vpe, kInvalidSel, req.vpe, op.child_key,
                     nullptr, 0,
-                    [this, op](ErrCode err, DdlKey parent, const CapPayload& payload, MsgRef opq,
-                               uint64_t session) {
-                      FinishObtain(op, err, parent, payload, opq, session);
+                    [this, op = std::move(op)](ErrCode err, DdlKey parent,
+                                               const CapPayload& payload, MsgRef opq,
+                                               uint64_t) mutable {
+                      FinishObtain(std::move(op), err, parent, payload, std::move(opq));
                     });
     return;
   }
 
   stats_.spanning_obtains++;
-  op.spanning = true;
   uint64_t token = op.token;
-  obtains_[token] = op;
+  obtains_.emplace(token, std::move(op));
   Charge(t_.syscall_dispatch + DdlDecodeCost(svc->cap) +
          IkcSendCost(svc->kernel, IkcOp::kOpenSessionReq));
   auto msg = NewMsg<IkcMsg>();
@@ -259,26 +259,23 @@ void Kernel::SysOpenSession(SyscallCtx ctx, const SyscallMsg& req) {
   SendIkc(svc->kernel, msg, [this, token](const IkcReply& reply) {
     auto it = obtains_.find(token);
     CHECK(it != obtains_.end());
-    ObtainOp pending = it->second;
+    ObtainOp pending = std::move(it->second);
     obtains_.erase(it);
     Charge(t_.ikc_reply_handle);
-    FinishObtain(pending, reply.err, reply.cap, reply.payload, reply.opaque,
-                 reply.payload.session);
+    FinishObtain(std::move(pending), reply.err, reply.cap, reply.payload, reply.opaque);
   });
 }
 
 void Kernel::SysExchange(SyscallCtx ctx, const SyscallMsg& req) {
   Capability* session = CapOf(req.vpe, req.sel);
   if (session == nullptr || session->type() != CapType::kSession) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply, [this, ctx, session] {
-      ReplySyscall(ctx, session == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType);
-    });
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx),
+                  session == nullptr ? ErrCode::kNoSuchCap : ErrCode::kInvalidCapType);
     return;
   }
   if (session->marked()) {
     stats_.pointless_denials++;
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kCapRevoked); });
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), ErrCode::kCapRevoked);
     return;
   }
 
@@ -288,31 +285,29 @@ void Kernel::SysExchange(SyscallCtx ctx, const SyscallMsg& req) {
 
   ObtainOp op;
   op.token = next_token_++;
-  op.sc = ctx;
-  op.client = req.vpe;
+  op.sc = std::move(ctx);
   op.child_key = AllocKey(req.vpe, CapType::kNone);
 
   if (owner_kernel == config_.id) {
     Capability* svc_cap = caps_.Find(service_cap);
     if (svc_cap == nullptr) {
-      Finish(t_.syscall_dispatch + t_.syscall_reply,
-             [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchCap); });
+      FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(op.sc), ErrCode::kNoSuchCap);
       return;
     }
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode + t_.session_exchange_extra);
     OwnerSideObtain(AskOp::kExchange, service_cap, svc_cap->holder(), kInvalidSel, req.vpe,
                     op.child_key, req.payload, session_id,
-                    [this, op](ErrCode err, DdlKey parent, const CapPayload& payload, MsgRef opq,
-                               uint64_t owner_session) {
-                      FinishObtain(op, err, parent, payload, opq, owner_session);
+                    [this, op = std::move(op)](ErrCode err, DdlKey parent,
+                                               const CapPayload& payload, MsgRef opq,
+                                               uint64_t) mutable {
+                      FinishObtain(std::move(op), err, parent, payload, std::move(opq));
                     });
     return;
   }
 
   stats_.spanning_obtains++;
-  op.spanning = true;
   uint64_t token = op.token;
-  obtains_[token] = op;
+  obtains_.emplace(token, std::move(op));
   Charge(t_.syscall_dispatch + DdlDecodeCost(service_cap) +
          IkcSendCost(owner_kernel, IkcOp::kObtainReq));
   auto msg = NewMsg<IkcMsg>();
@@ -325,11 +320,10 @@ void Kernel::SysExchange(SyscallCtx ctx, const SyscallMsg& req) {
   SendIkc(owner_kernel, msg, [this, token](const IkcReply& reply) {
     auto it = obtains_.find(token);
     CHECK(it != obtains_.end());
-    ObtainOp pending = it->second;
+    ObtainOp pending = std::move(it->second);
     obtains_.erase(it);
     Charge(t_.ikc_reply_handle);
-    FinishObtain(pending, reply.err, reply.cap, reply.payload, reply.opaque,
-                 reply.payload.session);
+    FinishObtain(std::move(pending), reply.err, reply.cap, reply.payload, reply.opaque);
   });
 }
 
@@ -340,35 +334,31 @@ void Kernel::SysExchange(SyscallCtx ctx, const SyscallMsg& req) {
 void Kernel::SysDelegate(SyscallCtx ctx, const SyscallMsg& req) {
   Capability* cap = CapOf(req.vpe, req.sel);
   if (cap == nullptr) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchCap); });
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), ErrCode::kNoSuchCap);
     return;
   }
   if (cap->marked()) {
     stats_.pointless_denials++;
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kCapRevoked); });
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), ErrCode::kCapRevoked);
     return;
   }
 
   DelegateOp op;
   op.token = next_token_++;
-  op.sc = ctx;
+  op.sc = std::move(ctx);
   op.cap = cap->key();
-  op.client = req.vpe;
   op.peer = req.peer;
 
   if (IsLocalVpe(req.peer)) {
     // Group-internal delegate: no handshake needed, one kernel owns both.
     VpeState* peer_vpe = vpes_.Find(req.peer);
     if (peer_vpe == nullptr || !peer_vpe->alive) {
-      Finish(t_.syscall_dispatch + t_.syscall_reply,
-             [this, ctx] { ReplySyscall(ctx, ErrCode::kVpeGone); });
+      FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(op.sc), ErrCode::kVpeGone);
       return;
     }
     if (peer_vpe->migrating) {
-      Finish(t_.syscall_dispatch + t_.syscall_reply,
-             [this, ctx] { ReplySyscall(ctx, ErrCode::kVpeMigrating); });
+      FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(op.sc),
+                    ErrCode::kVpeMigrating);
       return;
     }
     Charge(t_.syscall_dispatch + t_.exchange_validate + t_.ddl_decode);
@@ -376,37 +366,37 @@ void Kernel::SysDelegate(SyscallCtx ctx, const SyscallMsg& req) {
     ask->op = AskOp::kDelegate;
     ask->client = req.vpe;
     ask->offered = cap->payload();
-    AskParty(peer_vpe->node, ask, [this, op](const AskReply& reply) {
-      if (reply.err != ErrCode::kOk) {
-        Finish(t_.syscall_reply, [this, op, err = reply.err] { ReplySyscall(op.sc, err); });
-        return;
-      }
-      Capability* parent = caps_.Find(op.cap);
-      if (parent == nullptr || parent->marked()) {
-        stats_.pointless_denials += (parent != nullptr);
-        Finish(t_.syscall_reply, [this, op] { ReplySyscall(op.sc, ErrCode::kCapRevoked); });
-        return;
-      }
-      VpeState* receiver = vpes_.Find(op.peer);
-      if (receiver == nullptr || !receiver->alive) {
-        Finish(t_.syscall_reply, [this, op] { ReplySyscall(op.sc, ErrCode::kVpeGone); });
-        return;
-      }
-      Capability* child = CreateCap(receiver, parent->type(), parent->payload(),
-                                    parent->key());
-      parent->AddChild(child->key());
-      stats_.delegates++;
-      Finish(t_.cap_create + t_.tree_insert + 2 * t_.ddl_decode + t_.syscall_reply,
-             [this, op] { ReplySyscall(op.sc, ErrCode::kOk); });
-    });
+    AskParty(peer_vpe->node, std::move(ask),
+             [this, op = std::move(op)](const AskReply& reply) mutable {
+               if (reply.err != ErrCode::kOk) {
+                 FinishSyscall(t_.syscall_reply, std::move(op.sc), reply.err);
+                 return;
+               }
+               Capability* parent = caps_.Find(op.cap);
+               if (parent == nullptr || parent->marked()) {
+                 stats_.pointless_denials += (parent != nullptr);
+                 FinishSyscall(t_.syscall_reply, std::move(op.sc), ErrCode::kCapRevoked);
+                 return;
+               }
+               VpeState* receiver = vpes_.Find(op.peer);
+               if (receiver == nullptr || !receiver->alive) {
+                 FinishSyscall(t_.syscall_reply, std::move(op.sc), ErrCode::kVpeGone);
+                 return;
+               }
+               Capability* child = CreateCap(receiver, parent->type(), parent->payload(),
+                                             parent->key());
+               parent->AddChild(child->key());
+               stats_.delegates++;
+               FinishSyscall(t_.cap_create + t_.tree_insert + 2 * t_.ddl_decode + t_.syscall_reply,
+                             std::move(op.sc), ErrCode::kOk);
+             });
     return;
   }
 
   // Group-spanning delegate.
   stats_.spanning_delegates++;
-  op.spanning = true;
   uint64_t token = op.token;
-  delegates_[token] = op;
+  delegates_.emplace(token, std::move(op));
   Charge(t_.syscall_dispatch + t_.exchange_validate + DdlDecodeCostVpe(req.peer) +
          IkcSendCost(KernelOfVpe(req.peer), IkcOp::kDelegateReq));
   auto msg = NewMsg<IkcMsg>();
@@ -418,16 +408,16 @@ void Kernel::SysDelegate(SyscallCtx ctx, const SyscallMsg& req) {
   SendIkc(KernelOfVpe(req.peer), msg, [this, token](const IkcReply& reply) {
     auto it = delegates_.find(token);
     CHECK(it != delegates_.end());
-    DelegateOp pending = it->second;
+    DelegateOp pending = std::move(it->second);
     delegates_.erase(it);
     Charge(t_.ikc_reply_handle);
-    FinishDelegate(pending, reply.err, reply.child);
+    FinishDelegate(std::move(pending), reply.err, reply.child);
   });
 }
 
 void Kernel::FinishDelegate(DelegateOp op, ErrCode err, DdlKey child_key) {
   if (err != ErrCode::kOk) {
-    Finish(t_.syscall_reply, [this, op, err] { ReplySyscall(op.sc, err); });
+    FinishSyscall(t_.syscall_reply, std::move(op.sc), err);
     return;
   }
   // Second leg of the handshake: only if the delegated capability still
@@ -458,15 +448,13 @@ void Kernel::FinishDelegate(DelegateOp op, ErrCode err, DdlKey child_key) {
   } else {
     SendIkc(peer_kernel, ack, [](const IkcReply&) {});
   }
-  Finish(t_.syscall_reply, [this, op, ok] {
-    ReplySyscall(op.sc, ok ? ErrCode::kOk : ErrCode::kCapRevoked);
-  });
+  FinishSyscall(t_.syscall_reply, std::move(op.sc), ok ? ErrCode::kOk : ErrCode::kCapRevoked);
 }
 
-void Kernel::ApplyDelegateAck(bool abort, DdlKey child_key, std::function<void(ErrCode)> reply) {
+void Kernel::ApplyDelegateAck(bool abort, DdlKey child_key, UniqueFn<void(ErrCode)> reply) {
   auto it = parked_delegates_.find(child_key.raw());
   CHECK(it != parked_delegates_.end()) << "delegate ack for unknown parked child";
-  ParkedDelegate parked = it->second;
+  ParkedDelegate parked = std::move(it->second);
   parked_delegates_.erase(it);
   ErrCode err = ErrCode::kOk;
   if (!abort) {
@@ -506,7 +494,7 @@ void Kernel::OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& m
     reply->token = req.token;
     reply->err = (receiver != nullptr && receiver->migrating) ? ErrCode::kVpeMigrating
                                                               : ErrCode::kVpeGone;
-    Emit(Charge(t_.ikc_send), [this, recv_ep, msg, reply] { ReplyIkc(recv_ep, msg, reply); });
+    EmitIkcReply(Charge(t_.ikc_send), recv_ep, msg, std::move(reply));
     return;
   }
   auto ask = NewMsg<AskMsg>();
@@ -524,7 +512,7 @@ void Kernel::OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& m
                auto reply = NewMsg<IkcReply>();
                reply->token = token;
                reply->err = areply.err;
-               Emit(Charge(t_.ikc_send), [this, recv_ep, msg, reply] { ReplyIkc(recv_ep, msg, reply); });
+               EmitIkcReply(Charge(t_.ikc_send), recv_ep, msg, std::move(reply));
                return;
              }
              // Create the child capability but do NOT insert it into the
@@ -542,7 +530,8 @@ void Kernel::OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& m
              reply->token = token;
              reply->err = ErrCode::kOk;
              reply->child = child_key;
-             Emit(Charge(t_.cap_create + t_.ddl_decode + t_.ikc_send), [this, recv_ep, msg, reply] { ReplyIkc(recv_ep, msg, reply); });
+             EmitIkcReply(Charge(t_.cap_create + t_.ddl_decode + t_.ikc_send), recv_ep, msg,
+                          std::move(reply));
            });
 }
 
@@ -550,8 +539,7 @@ void Kernel::OwnerSideDelegate(const IkcMsg& req, EpId recv_ep, const Message& m
 // Party asks
 // ---------------------------------------------------------------------------
 
-void Kernel::AskParty(NodeId node, std::shared_ptr<AskMsg> ask,
-                      std::function<void(const AskReply&)> cb) {
+void Kernel::AskParty(NodeId node, std::shared_ptr<AskMsg> ask, AskReplyFn cb) {
   ask->token = next_token_++;
   PendingAsk pending;
   pending.token = ask->token;
@@ -566,17 +554,16 @@ void Kernel::AskParty(NodeId node, std::shared_ptr<AskMsg> ask,
     ask->trace_id = pending.trace;
     ask->trace_parent = pending.trace_span;
   }
-  asks_[ask->token] = std::move(pending);
+  asks_.emplace(ask->token, std::move(pending));
 
   AskWindow& window = ask_windows_[node];
-  auto send = [this, node, ask] {
-    pe_->dtu().SendTo(node, user_ep::kAsk, ask, kEpAskReply);
-  };
   if (window.inflight < config_.service_ask_inflight) {
     window.inflight++;
-    send();
+    pe_->dtu().SendTo(node, user_ep::kAsk, std::move(ask), kEpAskReply);
   } else {
-    window.queue.push_back(send);
+    window.queue.push_back([this, node, ask = std::move(ask)]() mutable {
+      pe_->dtu().SendTo(node, user_ep::kAsk, std::move(ask), kEpAskReply);
+    });
   }
 }
 

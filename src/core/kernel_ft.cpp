@@ -266,13 +266,13 @@ void Kernel::RecoverFromFailure(KernelId dead, uint64_t epoch) {
   std::vector<DdlKey> orphan_roots;
   for (const auto& [key, cap] : caps_.all()) {
     cost += t_.ft_scan_per_cap;
-    for (DdlKey child : cap->children()) {
+    for (DdlKey child : cap.children()) {
       if (child.pe() < dead_part.size() && dead_part[child.pe()] != 0) {
-        pruned.push_back(cap.get());
+        pruned.push_back(caps_.Find(key));
         break;
       }
     }
-    DdlKey parent = cap->parent();
+    DdlKey parent = cap.parent();
     if (!parent.IsNull() && parent.pe() < dead_part.size() && dead_part[parent.pe()] != 0) {
       orphan_roots.push_back(key);
     }

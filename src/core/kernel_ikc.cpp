@@ -15,8 +15,7 @@ namespace semperos {
 // IKC engine — flow-controlled kernel-to-kernel messaging (paper §4.1)
 // ---------------------------------------------------------------------------
 
-void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg,
-                     std::function<void(const IkcReply&)> cb) {
+void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg, IkcReplyFn cb) {
   CHECK_NE(peer, config_.id);
   msg->src_kernel = config_.id;
   if (msg->token == 0) {
@@ -28,7 +27,7 @@ void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg,
     // that waits on a reply that can never come.
     stats_.ft_ikcs_aborted++;
     uint64_t token = msg->token;
-    pe_->sim()->Schedule(0, [cb = std::move(cb), token] {
+    pe_->sim()->Schedule(0, [cb = std::move(cb), token]() mutable {
       if (cb) {
         IkcReply reply;
         reply.token = token;
@@ -53,7 +52,7 @@ void Kernel::SendIkc(KernelId peer, std::shared_ptr<IkcMsg> msg,
     msg->trace_id = pending.trace;
     msg->trace_parent = pending.trace_span;
   }
-  ikcs_[msg->token] = std::move(pending);
+  ikcs_.emplace(msg->token, std::move(pending));
 
   EnqueueIkc(peer, std::move(msg));
 }
@@ -349,7 +348,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
     case IkcOp::kHello: {
       auto reply = NewMsg<IkcReply>();
       reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      EmitIkcReply(Charge(t_.ikc_dispatch + t_.ikc_send), ep, msg, std::move(reply));
       break;
     }
     case IkcOp::kShutdown: {
@@ -363,7 +362,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       }
       auto reply = NewMsg<IkcReply>();
       reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      EmitIkcReply(Charge(t_.ikc_dispatch + t_.ikc_send), ep, msg, std::move(reply));
       break;
     }
     case IkcOp::kServiceAnnounce: {
@@ -376,7 +375,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       services_[req->name].push_back(entry);
       auto reply = NewMsg<IkcReply>();
       reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      EmitIkcReply(Charge(t_.ikc_dispatch + t_.ikc_send), ep, msg, std::move(reply));
       break;
     }
     case IkcOp::kObtainReq:
@@ -399,7 +398,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
           auto reply = NewMsg<IkcReply>();
           reply->token = req->token;
           reply->err = ErrCode::kNoSuchCap;
-          Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+          EmitIkcReply(Charge(t_.ikc_send), ep, msg, std::move(reply));
           ReleaseThread();
           break;
         }
@@ -420,7 +419,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
                         reply->payload.session =
                             new_session != 0 ? new_session : reply->payload.session;
                         reply->opaque = std::move(opq);
-                        Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+                        EmitIkcReply(Charge(t_.ikc_send), ep, msg, std::move(reply));
                         ReleaseThread();
                       });
       break;
@@ -437,8 +436,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
                          auto reply = NewMsg<IkcReply>();
                          reply->token = token;
                          reply->err = err;
-                         Emit(Charge(t_.ikc_send),
-                              [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+                         EmitIkcReply(Charge(t_.ikc_send), ep, msg, std::move(reply));
                        });
       break;
     }
@@ -454,7 +452,8 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       }
       auto reply = NewMsg<IkcReply>();
       reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      EmitIkcReply(Charge(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send), ep, msg,
+                   std::move(reply));
       break;
     }
     case IkcOp::kChildDrop: {
@@ -464,7 +463,8 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       }
       auto reply = NewMsg<IkcReply>();
       reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      EmitIkcReply(Charge(t_.ikc_dispatch + t_.ddl_decode + t_.ikc_send), ep, msg,
+                   std::move(reply));
       break;
     }
     case IkcOp::kMigrateVpe: {
@@ -476,8 +476,8 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       stats_.epoch_updates++;
       auto reply = NewMsg<IkcReply>();
       reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send),
-           [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      EmitIkcReply(Charge(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send), ep, msg,
+                   std::move(reply));
       break;
     }
     case IkcOp::kSuspectKernel: {
@@ -485,7 +485,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       RecordSuspectVote(req->suspect, req->src_kernel);
       auto reply = NewMsg<IkcReply>();
       reply->token = req->token;
-      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      EmitIkcReply(Charge(t_.ikc_send), ep, msg, std::move(reply));
       break;
     }
     case IkcOp::kFailoverDecree: {
@@ -493,7 +493,7 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       RecoverFromFailure(req->suspect, req->epoch);
       auto reply = NewMsg<IkcReply>();
       reply->token = req->token;
-      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      EmitIkcReply(Charge(t_.ikc_send), ep, msg, std::move(reply));
       break;
     }
     case IkcOp::kCapBatch: {
@@ -521,8 +521,8 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       ApplyRelayNotice(*req);
       auto reply = NewMsg<IkcReply>();
       reply->token = req->token;
-      Emit(Charge(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send),
-           [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      EmitIkcReply(Charge(t_.ikc_dispatch + t_.epoch_apply + t_.ikc_send), ep, msg,
+                   std::move(reply));
       break;
     }
   }

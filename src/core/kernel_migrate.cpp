@@ -86,7 +86,7 @@ bool Kernel::MaybeForwardIkc(EpId ep, const Message& msg, const IkcMsg& req) {
     SendIkc(owner, fwd, [this, ep, msg, orig_token](const IkcReply& r) {
       auto reply = NewMsg<IkcReply>(r);
       reply->token = orig_token;
-      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      EmitIkcReply(Charge(t_.ikc_send), ep, msg, std::move(reply));
     });
     return true;
   }
@@ -103,7 +103,7 @@ bool Kernel::MaybeForwardIkc(EpId ep, const Message& msg, const IkcMsg& req) {
     auto reply = NewMsg<IkcReply>();
     reply->token = req.token;
     reply->err = ErrCode::kUnreachable;
-    Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+    EmitIkcReply(Charge(t_.ikc_send), ep, msg, std::move(reply));
     return true;
   }
   stats_.ikc_relays_pipelined++;
@@ -177,13 +177,13 @@ void Kernel::ApplyRelayNotice(const IkcMsg& notice) {
 bool Kernel::MigrationBlocked(NodeId pe) const {
   for (const auto& [token, op] : obtains_) {
     (void)token;
-    if (op.client == pe) {
+    if (op.sc.vpe == pe) {
       return true;
     }
   }
   for (const auto& [token, op] : delegates_) {
     (void)token;
-    if (op.client == pe) {
+    if (op.sc.vpe == pe) {
       return true;
     }
   }
@@ -209,7 +209,7 @@ bool Kernel::MigrationBlocked(NodeId pe) const {
   });
 }
 
-void Kernel::AdminMigratePe(NodeId pe, KernelId dst, std::function<void(ErrCode)> done) {
+void Kernel::AdminMigratePe(NodeId pe, KernelId dst, UniqueFn<void(ErrCode)> done) {
   VpeState* v = vpes_.Find(pe);
   CHECK(v != nullptr) << "kernel " << config_.id << " does not manage PE " << pe;
   if (shutting_down_ || !v->alive) {
@@ -286,7 +286,7 @@ void Kernel::StartMigrateTransfer(uint64_t task_id) {
     record.type = cap->type();
     record.sel = sel;
     record.parent = cap->parent();
-    record.children = cap->children();
+    record.children.assign(cap->children().begin(), cap->children().end());
     record.payload = cap->payload();
     record.activated = cap->activated();
     record.activated_ep = cap->activated_ep();
@@ -319,8 +319,7 @@ void Kernel::OnMigrateVpe(EpId ep, const Message& msg, const IkcMsg& req) {
   reply->token = req.token;
   if (shutting_down_ || vpes_.size() >= kMaxVpesPerKernel) {
     reply->err = shutting_down_ ? ErrCode::kAborted : ErrCode::kInvalidArgs;
-    Emit(Charge(t_.ikc_dispatch + t_.ikc_send),
-         [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+    EmitIkcReply(Charge(t_.ikc_dispatch + t_.ikc_send), ep, msg, std::move(reply));
     return;
   }
 
@@ -363,8 +362,7 @@ void Kernel::OnMigrateVpe(EpId ep, const Message& msg, const IkcMsg& req) {
   EpId syscall_ep = kEpSyscall0 + (mp.vpe % kNumSyscallEps);
   pe_->dtu().ConfigureRemoteSend(mp.node, user_ep::kSyscallSend, pe_->node(), syscall_ep,
                                  /*credits=*/1, /*label=*/0, [this, ep, msg, reply] {
-                                   Emit(Charge(t_.ikc_send),
-                                        [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+                                   EmitIkcReply(Charge(t_.ikc_send), ep, msg, std::move(reply));
                                  });
 }
 
@@ -377,7 +375,7 @@ void Kernel::FinishMigrateTransfer(uint64_t task_id, const IkcReply& reply) {
     // deferred unlinks now apply to the retained local copies.
     vpes_.At(task->pe).migrating = false;
     task->phase = MigrateTask::Phase::kQuiesce;
-    std::vector<std::function<void()>> unlinks = std::move(task->deferred_unlinks);
+    std::vector<InlineFn> unlinks = std::move(task->deferred_unlinks);
     task->deferred_unlinks.clear();
     for (auto& fn : unlinks) {
       fn();
@@ -406,7 +404,7 @@ void Kernel::FinishMigrateTransfer(uint64_t task_id, const IkcReply& reply) {
 
   // Unlinks deferred during the transfer re-route to the new owner (the
   // membership update above makes KernelOf resolve to the destination).
-  std::vector<std::function<void()>> unlinks = std::move(task->deferred_unlinks);
+  std::vector<InlineFn> unlinks = std::move(task->deferred_unlinks);
   task->deferred_unlinks.clear();
   for (auto& fn : unlinks) {
     fn();

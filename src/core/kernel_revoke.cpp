@@ -15,12 +15,11 @@ namespace semperos {
 // ---------------------------------------------------------------------------
 
 RevokeTask* Kernel::NewRevokeTask(DdlKey root) {
-  auto task = std::make_unique<RevokeTask>();
-  task->id = next_token_++;
-  task->root = root;
-  RevokeTask* raw = task.get();
-  revoke_tasks_[raw->id] = std::move(task);
-  return raw;
+  uint64_t id = next_token_++;
+  RevokeTask& task = revoke_tasks_[id];
+  task.id = id;
+  task.root = root;
+  return &task;
 }
 
 Cycles Kernel::MarkPass(Capability* cap, RevokeTask* task) {
@@ -92,7 +91,7 @@ Cycles Kernel::FlushRevokeRequests(RevokeTask* task) {
 void Kernel::RevokeDependencyDone(uint64_t task_id) {
   auto it = revoke_tasks_.find(task_id);
   CHECK(it != revoke_tasks_.end());
-  RevokeTask* task = it->second.get();
+  RevokeTask* task = &it->second;
   CHECK_GT(task->outstanding, 0u);
   task->outstanding--;
   CheckRevokeComplete(task);
@@ -166,14 +165,12 @@ void Kernel::CompleteRevokeTask(RevokeTask* task) {
     SyscallCtx sc;
     sc.vpe = task->vpe;
     sc.recv_ep = task->reply_recv_ep;
-    sc.msg = task->reply_msg;
-    sc.valid = true;
+    sc.msg = std::move(task->reply_msg);
     Cycles wake = task->suspended ? t_.revoke_resume : 0;
-    Finish(wake + t_.revoke_finish + t_.syscall_reply,
-           [this, sc] { ReplySyscall(sc, ErrCode::kOk); });
+    FinishSyscall(wake + t_.revoke_finish + t_.syscall_reply, std::move(sc), ErrCode::kOk);
   } else if (task->admin) {
     if (task->admin_done) {
-      Finish(t_.revoke_finish, task->admin_done);
+      Finish(t_.revoke_finish, std::move(task->admin_done));
     }
   } else {
     // Participant: reply to the requesting kernel only now that our entire
@@ -182,29 +179,28 @@ void Kernel::CompleteRevokeTask(RevokeTask* task) {
     auto reply = NewMsg<IkcReply>();
     reply->token = task->req_token;
     reply->err = ErrCode::kOk;
-    EpId ep = task->reply_recv_ep;
-    Message msg = task->reply_msg;
-    Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+    EmitIkcReply(Charge(t_.ikc_send), task->reply_recv_ep, std::move(task->reply_msg),
+                 std::move(reply));
   }
 
   for (auto& hook : task->on_complete) {
     hook();
   }
-  revoke_tasks_.erase(task->id);
+  uint64_t id = task->id;
+  revoke_tasks_.erase(id);
 }
 
 void Kernel::SysRevoke(SyscallCtx ctx, const SyscallMsg& req) {
   Capability* cap = CapOf(req.vpe, req.sel);
   if (cap == nullptr) {
-    Finish(t_.syscall_dispatch + t_.syscall_reply,
-           [this, ctx] { ReplySyscall(ctx, ErrCode::kNoSuchCap); });
+    FinishSyscall(t_.syscall_dispatch + t_.syscall_reply, std::move(ctx), ErrCode::kNoSuchCap);
     return;
   }
   if (cap->marked()) {
     // An overlapping revoke already covers this capability; wait for it so
     // our acknowledgement is never early (§4.3.3).
-    cap->task()->on_complete.push_back([this, ctx] {
-      Finish(t_.revoke_finish + t_.syscall_reply, [this, ctx] { ReplySyscall(ctx, ErrCode::kOk); });
+    cap->task()->on_complete.push_back([this, ctx = std::move(ctx)]() mutable {
+      FinishSyscall(t_.revoke_finish + t_.syscall_reply, std::move(ctx), ErrCode::kOk);
     });
     return;
   }
@@ -213,7 +209,7 @@ void Kernel::SysRevoke(SyscallCtx ctx, const SyscallMsg& req) {
   task->initiator = true;
   task->vpe = ctx.vpe;
   task->reply_recv_ep = ctx.recv_ep;
-  task->reply_msg = ctx.msg;
+  task->reply_msg = std::move(ctx.msg);
   task->parent_unlink = cap->parent();
   Cycles cost = t_.syscall_dispatch + t_.revoke_entry + MarkPass(cap, task);
   cost += FlushRevokeRequests(task);
@@ -270,7 +266,7 @@ void Kernel::ProcessRevokeReq(EpId ep, Message msg, const IkcMsg& req) {
     auto reply = NewMsg<IkcReply>();
     reply->token = req.token;
     reply->err = ErrCode::kOk;
-    Emit(Charge(t_.ikc_dispatch + t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+    EmitIkcReply(Charge(t_.ikc_dispatch + t_.ikc_send), ep, msg, std::move(reply));
     cur_trace_ = saved_trace;
     return;
   }
@@ -281,7 +277,7 @@ void Kernel::ProcessRevokeReq(EpId ep, Message msg, const IkcMsg& req) {
       auto reply = NewMsg<IkcReply>();
       reply->token = token;
       reply->err = ErrCode::kOk;
-      Emit(Charge(t_.ikc_send), [this, ep, msg, reply] { ReplyIkc(ep, msg, reply); });
+      EmitIkcReply(Charge(t_.ikc_send), ep, msg, std::move(reply));
     });
     Charge(t_.ikc_dispatch);
     cur_trace_ = saved_trace;
@@ -291,7 +287,7 @@ void Kernel::ProcessRevokeReq(EpId ep, Message msg, const IkcMsg& req) {
   RevokeTask* task = NewRevokeTask(cap->key());
   task->initiator = false;
   task->reply_recv_ep = ep;
-  task->reply_msg = msg;
+  task->reply_msg = std::move(msg);
   task->req_token = req.token;
   Cycles cost = t_.ikc_dispatch + MarkPass(cap, task);
   cost += FlushRevokeRequests(task);
@@ -304,7 +300,7 @@ void Kernel::ProcessRevokeReq(EpId ep, Message msg, const IkcMsg& req) {
 // VPE kill (admin) — revokes everything the VPE holds
 // ---------------------------------------------------------------------------
 
-void Kernel::AdminKillVpe(VpeId vpe, std::function<void()> done) {
+void Kernel::AdminKillVpe(VpeId vpe, InlineFn done) {
   VpeState* v = vpes_.Find(vpe);
   CHECK(v != nullptr);
   CHECK(!v->migrating) << "cannot kill VPE " << vpe << " while it is migrating";
@@ -314,12 +310,7 @@ void Kernel::AdminKillVpe(VpeId vpe, std::function<void()> done) {
   std::vector<DdlKey> roots;
   roots.reserve(v->table.size());
   v->table.ForEach([&roots](CapSel, DdlKey key) { roots.push_back(key); });
-  auto remaining = std::make_shared<uint32_t>(static_cast<uint32_t>(roots.size()) + 1);
-  auto maybe_done = [remaining, done]() {
-    if (--*remaining == 0 && done) {
-      done();
-    }
-  };
+  Countdown maybe_done(static_cast<uint32_t>(roots.size()) + 1, std::move(done));
   for (DdlKey key : roots) {
     Capability* cap = caps_.Find(key);
     if (cap == nullptr) {

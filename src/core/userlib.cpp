@@ -29,8 +29,7 @@ void UserEnv::SetupEps(bool is_service) {
 // System calls
 // ---------------------------------------------------------------------------
 
-void UserEnv::Syscall(std::shared_ptr<SyscallMsg> msg,
-                      std::function<void(const SyscallReply&)> cb) {
+void UserEnv::Syscall(std::shared_ptr<SyscallMsg> msg, SyscallCb cb) {
   CHECK(!syscall_pending_) << "VPE " << vpe() << " issued a second blocking syscall";
   syscall_pending_ = true;
   syscall_cb_ = std::move(cb);
@@ -91,7 +90,6 @@ void UserEnv::ArmSyscallWatchdog(uint64_t token) {
       syscall_pending_ = false;
       CloseSyscallSpan();
       auto cb = std::move(syscall_cb_);
-      syscall_cb_ = nullptr;
       syscall_msg_ = nullptr;
       if (cb) {
         SyscallReply reply;
@@ -136,7 +134,6 @@ void UserEnv::OnSyscallReply(const Message& msg) {
   syscall_pending_ = false;
   CloseSyscallSpan();
   auto cb = std::move(syscall_cb_);
-  syscall_cb_ = nullptr;
   syscall_msg_ = nullptr;  // only retained for migration/crash retries
   if (cb) {
     cb(*reply);
@@ -163,15 +160,14 @@ void UserEnv::CloseSyscallSpan() {
   sys_parent_ = 0;
 }
 
-void UserEnv::OpenSession(const std::string& name, std::function<void(const SyscallReply&)> cb) {
+void UserEnv::OpenSession(const std::string& name, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kOpenSession;
   msg->name = name;
   Syscall(std::move(msg), std::move(cb));
 }
 
-void UserEnv::Exchange(CapSel session, MsgRef payload,
-                       std::function<void(const SyscallReply&)> cb) {
+void UserEnv::Exchange(CapSel session, MsgRef payload, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kExchange;
   msg->sel = session;
@@ -179,7 +175,7 @@ void UserEnv::Exchange(CapSel session, MsgRef payload,
   Syscall(std::move(msg), std::move(cb));
 }
 
-void UserEnv::Obtain(VpeId peer, CapSel peer_sel, std::function<void(const SyscallReply&)> cb) {
+void UserEnv::Obtain(VpeId peer, CapSel peer_sel, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kObtain;
   msg->peer = peer;
@@ -187,7 +183,7 @@ void UserEnv::Obtain(VpeId peer, CapSel peer_sel, std::function<void(const Sysca
   Syscall(std::move(msg), std::move(cb));
 }
 
-void UserEnv::Delegate(CapSel sel, VpeId peer, std::function<void(const SyscallReply&)> cb) {
+void UserEnv::Delegate(CapSel sel, VpeId peer, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kDelegate;
   msg->sel = sel;
@@ -195,14 +191,14 @@ void UserEnv::Delegate(CapSel sel, VpeId peer, std::function<void(const SyscallR
   Syscall(std::move(msg), std::move(cb));
 }
 
-void UserEnv::Revoke(CapSel sel, std::function<void(const SyscallReply&)> cb) {
+void UserEnv::Revoke(CapSel sel, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kRevoke;
   msg->sel = sel;
   Syscall(std::move(msg), std::move(cb));
 }
 
-void UserEnv::Activate(CapSel sel, EpId ep, std::function<void(const SyscallReply&)> cb) {
+void UserEnv::Activate(CapSel sel, EpId ep, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kActivate;
   msg->sel = sel;
@@ -210,8 +206,7 @@ void UserEnv::Activate(CapSel sel, EpId ep, std::function<void(const SyscallRepl
   Syscall(std::move(msg), std::move(cb));
 }
 
-void UserEnv::DeriveMem(CapSel sel, uint64_t offset, uint64_t size, uint32_t perms,
-                        std::function<void(const SyscallReply&)> cb) {
+void UserEnv::DeriveMem(CapSel sel, uint64_t offset, uint64_t size, uint32_t perms, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kDeriveMem;
   msg->sel = sel;
@@ -221,8 +216,7 @@ void UserEnv::DeriveMem(CapSel sel, uint64_t offset, uint64_t size, uint32_t per
   Syscall(std::move(msg), std::move(cb));
 }
 
-void UserEnv::RegisterService(const std::string& name,
-                              std::function<void(const SyscallReply&)> cb) {
+void UserEnv::RegisterService(const std::string& name, SyscallCb cb) {
   auto msg = NewMsg<SyscallMsg>();
   msg->op = SyscallOp::kRegisterService;
   msg->name = name;
@@ -234,15 +228,13 @@ void UserEnv::RegisterService(const std::string& name,
 // ---------------------------------------------------------------------------
 
 void UserEnv::OnAsk(const Message& msg) {
-  const AskMsg* ask = msg.As<AskMsg>();
-  CHECK(ask != nullptr);
-  Message copy = msg;
-  work_.push_back([this, copy] {
-    const AskMsg& a = *copy.As<AskMsg>();
+  CHECK(msg.As<AskMsg>() != nullptr);
+  work_.push_back([this, msg]() mutable {
+    const AskMsg& a = *msg.As<AskMsg>();
     // Syscalls the handler issues nest under the kernel's ask span.
     SetTraceContext(a.trace_id, a.trace_parent);
-    auto reply_fn = [this, copy](AskReply reply_value) {
-      const AskMsg* req = copy.As<AskMsg>();
+    AskReplyFn reply_fn = [this, msg = std::move(msg)](AskReply reply_value) mutable {
+      const AskMsg* req = msg.As<AskMsg>();
       auto reply = NewMsg<AskReply>(std::move(reply_value));
       reply->token = req->token;
       // The reply inherits the ask's trace ctx so its wire transit nests
@@ -250,12 +242,13 @@ void UserEnv::OnAsk(const Message& msg) {
       reply->trace_id = req->trace_id;
       reply->trace_parent = req->trace_parent;
       // Answering costs the party `ask_cost_` cycles on its own core.
-      pe_->exec().Post(ask_cost_, [this, copy, reply] {
-        pe_->dtu().Reply(user_ep::kAsk, copy, reply);
-        SetTraceContext(0, 0);
-        work_busy_ = false;
-        PumpWork();
-      });
+      pe_->exec().Post(ask_cost_,
+                       [this, msg = std::move(msg), reply = std::move(reply)]() mutable {
+                         pe_->dtu().Reply(user_ep::kAsk, msg, std::move(reply));
+                         SetTraceContext(0, 0);
+                         work_busy_ = false;
+                         PumpWork();
+                       });
     };
     if (ask_handler_) {
       ask_handler_(a, std::move(reply_fn));
@@ -276,7 +269,7 @@ void UserEnv::PumpWork() {
     return;
   }
   work_busy_ = true;
-  auto fn = std::move(work_.front());
+  InlineFn fn = std::move(work_.front());
   work_.pop_front();
   fn();
 }
@@ -285,7 +278,7 @@ void UserEnv::PumpWork() {
 // Client <-> service IPC
 // ---------------------------------------------------------------------------
 
-void UserEnv::Request(MsgRef body, std::function<void(const Message&)> cb) {
+void UserEnv::Request(MsgRef body, UniqueFn<void(const Message&)> cb) {
   CHECK(!request_pending_) << "VPE " << vpe() << " issued a second service request";
   request_pending_ = true;
   request_cb_ = std::move(cb);
@@ -297,21 +290,19 @@ void UserEnv::OnServiceReply(const Message& msg) {
   CHECK(request_pending_);
   request_pending_ = false;
   auto cb = std::move(request_cb_);
-  request_cb_ = nullptr;
   if (cb) {
     cb(msg);
   }
 }
 
 void UserEnv::OnRequest(const Message& msg) {
-  Message copy = msg;
-  work_.push_back([this, copy] {
+  work_.push_back([this, msg] {
     CHECK(request_handler_) << "service PE " << vpe() << " has no request handler";
-    if (copy.body != nullptr) {
+    if (msg.body != nullptr) {
       // Syscalls the handler issues nest under the request's trace.
-      SetTraceContext(copy.body->trace_id, copy.body->trace_parent);
+      SetTraceContext(msg.body->trace_id, msg.body->trace_parent);
     }
-    request_handler_(copy);
+    request_handler_(msg);
   });
   PumpWork();
 }

@@ -10,13 +10,13 @@
 #ifndef SEMPEROS_CORE_USERLIB_H_
 #define SEMPEROS_CORE_USERLIB_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "base/log.h"
+#include "base/ring.h"
 #include "base/status.h"
 #include "core/kernel.h"
 #include "core/protocol.h"
@@ -39,29 +39,32 @@ class UserEnv {
   void SetupEps(bool is_service);
 
   // ---- System calls (single outstanding; asserts the VPE respects it) ----
-  void Syscall(std::shared_ptr<SyscallMsg> msg, std::function<void(const SyscallReply&)> cb);
+  // `cb` runs once, with the reply.
+  using SyscallCb = UniqueFn<void(const SyscallReply&)>;
+  void Syscall(std::shared_ptr<SyscallMsg> msg, SyscallCb cb);
 
-  void OpenSession(const std::string& name, std::function<void(const SyscallReply&)> cb);
-  void Exchange(CapSel session, MsgRef payload, std::function<void(const SyscallReply&)> cb);
-  void Obtain(VpeId peer, CapSel peer_sel, std::function<void(const SyscallReply&)> cb);
-  void Delegate(CapSel sel, VpeId peer, std::function<void(const SyscallReply&)> cb);
-  void Revoke(CapSel sel, std::function<void(const SyscallReply&)> cb);
-  void Activate(CapSel sel, EpId ep, std::function<void(const SyscallReply&)> cb);
-  void DeriveMem(CapSel sel, uint64_t offset, uint64_t size, uint32_t perms,
-                 std::function<void(const SyscallReply&)> cb);
-  void RegisterService(const std::string& name, std::function<void(const SyscallReply&)> cb);
+  void OpenSession(const std::string& name, SyscallCb cb);
+  void Exchange(CapSel session, MsgRef payload, SyscallCb cb);
+  void Obtain(VpeId peer, CapSel peer_sel, SyscallCb cb);
+  void Delegate(CapSel sel, VpeId peer, SyscallCb cb);
+  void Revoke(CapSel sel, SyscallCb cb);
+  void Activate(CapSel sel, EpId ep, SyscallCb cb);
+  void DeriveMem(CapSel sel, uint64_t offset, uint64_t size, uint32_t perms, SyscallCb cb);
+  void RegisterService(const std::string& name, SyscallCb cb);
 
   // ---- Exchange-asks from the kernel ----
   // The handler must eventually invoke the reply functor exactly once.
   // Asks are serialized: the next ask is delivered only after the current
-  // one was answered, so handlers may issue system calls in between.
-  using AskHandler = std::function<void(const AskMsg&, std::function<void(AskReply)>)>;
+  // one was answered, so handlers may issue system calls in between — and
+  // a service handles at most one ask or request at a time.
+  using AskReplyFn = UniqueFn<void(AskReply)>;
+  using AskHandler = std::function<void(const AskMsg&, AskReplyFn)>;
   void SetAskHandler(AskHandler handler) { ask_handler_ = std::move(handler); }
 
   // ---- Client -> service IPC (no kernel involved) ----
   // Sends on the session send gate (configured by the kernel at session
   // open). One outstanding request per client.
-  void Request(MsgRef body, std::function<void(const Message&)> cb);
+  void Request(MsgRef body, UniqueFn<void(const Message&)> cb);
 
   // Service side: handler for incoming client requests. The handler must
   // eventually call ReplyRequest(msg, ...) exactly once; requests and asks
@@ -137,7 +140,7 @@ class UserEnv {
   uint64_t syscalls_issued_ = 0;
   uint64_t syscall_retries_ = 0;
   bool syscall_pending_ = false;
-  std::function<void(const SyscallReply&)> syscall_cb_;
+  SyscallCb syscall_cb_;
   std::shared_ptr<SyscallMsg> syscall_msg_;  // kept for migration retries
 
   // Crash watchdog (EnableSyscallRetry); inactive while retry_timeout_ == 0.
@@ -150,13 +153,13 @@ class UserEnv {
   bool syscall_unreachable_ = false;
 
   bool request_pending_ = false;
-  std::function<void(const Message&)> request_cb_;
+  UniqueFn<void(const Message&)> request_cb_;
 
   AskHandler ask_handler_;
   RequestHandler request_handler_;
 
   // Serialized service work: asks and client requests.
-  std::deque<InlineFn> work_;
+  Ring<InlineFn> work_;
   bool work_busy_ = false;
 };
 

@@ -64,7 +64,7 @@ void Dtu::InvalidateEp(EpId ep) {
 }
 
 void Dtu::ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_ep,
-                              uint32_t credits, uint64_t label, std::function<void()> done) {
+                              uint32_t credits, uint64_t label, InlineFn done) {
   CHECK(privileged_) << "remote config from unprivileged DTU " << node_;
   if (dead_) {
     stats_.msgs_lost_dead++;
@@ -73,7 +73,8 @@ void Dtu::ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_
   Dtu* remote = fabric_->At(target);
   CHECK(remote != nullptr);
   fabric_->noc()->Send(node_, target, kConfigPacketBytes,
-                       [this, remote, ep, dst_node, dst_ep, credits, label, done] {
+                       [this, remote, ep, dst_node, dst_ep, credits, label,
+                        done = std::move(done)]() mutable {
                          // Privileged config bypasses the downgrade check.
                          Endpoint& e = remote->eps_.at(ep);
                          e = Endpoint{};
@@ -84,13 +85,13 @@ void Dtu::ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_
                          e.max_credits = credits;
                          e.label = label;
                          if (done) {
-                           sim_->Schedule(kConfigApplyCycles, done);
+                           sim_->Schedule(kConfigApplyCycles, std::move(done));
                          }
                        });
 }
 
 void Dtu::ConfigureRemoteMem(NodeId target, EpId ep, NodeId dst_node, uint64_t base, uint64_t size,
-                             MemPerms perms, std::function<void()> done) {
+                             MemPerms perms, InlineFn done) {
   CHECK(privileged_) << "remote config from unprivileged DTU " << node_;
   if (dead_) {
     stats_.msgs_lost_dead++;
@@ -99,7 +100,8 @@ void Dtu::ConfigureRemoteMem(NodeId target, EpId ep, NodeId dst_node, uint64_t b
   Dtu* remote = fabric_->At(target);
   CHECK(remote != nullptr);
   fabric_->noc()->Send(node_, target, kConfigPacketBytes,
-                       [this, remote, ep, dst_node, base, size, perms, done] {
+                       [this, remote, ep, dst_node, base, size, perms,
+                        done = std::move(done)]() mutable {
                          Endpoint& e = remote->eps_.at(ep);
                          e = Endpoint{};
                          e.type = EpType::kMemory;
@@ -108,12 +110,12 @@ void Dtu::ConfigureRemoteMem(NodeId target, EpId ep, NodeId dst_node, uint64_t b
                          e.mem_size = size;
                          e.perms = perms;
                          if (done) {
-                           sim_->Schedule(kConfigApplyCycles, done);
+                           sim_->Schedule(kConfigApplyCycles, std::move(done));
                          }
                        });
 }
 
-void Dtu::InvalidateRemoteEp(NodeId target, EpId ep, std::function<void()> done) {
+void Dtu::InvalidateRemoteEp(NodeId target, EpId ep, InlineFn done) {
   CHECK(privileged_) << "remote config from unprivileged DTU " << node_;
   if (dead_) {
     stats_.msgs_lost_dead++;
@@ -121,12 +123,13 @@ void Dtu::InvalidateRemoteEp(NodeId target, EpId ep, std::function<void()> done)
   }
   Dtu* remote = fabric_->At(target);
   CHECK(remote != nullptr);
-  fabric_->noc()->Send(node_, target, kConfigPacketBytes, [this, remote, ep, done] {
-    remote->eps_.at(ep) = Endpoint{};
-    if (done) {
-      sim_->Schedule(kConfigApplyCycles, done);
-    }
-  });
+  fabric_->noc()->Send(node_, target, kConfigPacketBytes,
+                       [this, remote, ep, done = std::move(done)]() mutable {
+                         remote->eps_.at(ep) = Endpoint{};
+                         if (done) {
+                           sim_->Schedule(kConfigApplyCycles, std::move(done));
+                         }
+                       });
 }
 
 Status Dtu::Send(EpId ep, MsgRef body, EpId reply_ep) {

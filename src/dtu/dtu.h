@@ -118,10 +118,10 @@ class Dtu {
   // endpoint registers over the NoC. `done` fires when the config packet has
   // been applied at the remote DTU.
   void ConfigureRemoteSend(NodeId target, EpId ep, NodeId dst_node, EpId dst_ep, uint32_t credits,
-                           uint64_t label, std::function<void()> done);
+                           uint64_t label, InlineFn done);
   void ConfigureRemoteMem(NodeId target, EpId ep, NodeId dst_node, uint64_t base, uint64_t size,
-                          MemPerms perms, std::function<void()> done);
-  void InvalidateRemoteEp(NodeId target, EpId ep, std::function<void()> done);
+                          MemPerms perms, InlineFn done);
+  void InvalidateRemoteEp(NodeId target, EpId ep, InlineFn done);
 
   // Sends a message through send endpoint `ep`. Consumes one credit; the
   // credit returns when the receiver replies (or acks with credit return).

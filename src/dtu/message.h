@@ -78,15 +78,17 @@ const T* MsgAs(const MsgRef& body) {
 // Endpoint id used when the sender expects no reply.
 inline constexpr EpId kNoReplyEp = 0xffffffffu;
 
-// A message as seen by the receiving program.
+// A message as seen by the receiving program. Field order packs it into 48
+// bytes: protocol continuations capture Messages, and a small one keeps
+// them inside UniqueFn's inline buffer (sim/inline_fn.h).
 struct Message {
+  MsgRef body;
+  uint64_t label = 0;              // receiver-assigned channel label
+  Cycles trace_sent = 0;           // obs: cycle the DTU put it on the wire
   NodeId src_node = kInvalidNode;  // PE the message came from
   EpId src_send_ep = 0;            // sender's send endpoint (credit return)
   EpId reply_ep = kNoReplyEp;      // receive endpoint at sender for replies
-  uint64_t label = 0;              // receiver-assigned channel label
   bool is_reply = false;           // true if this is a reply message
-  Cycles trace_sent = 0;           // obs: cycle the DTU put it on the wire
-  MsgRef body;
 
   template <typename T>
   const T* As() const {

@@ -43,7 +43,7 @@ void FsService::Setup() {
   // Ask costs are charged per-operation inside the handlers, not uniformly.
   env_ = std::make_unique<UserEnv>(pe_, kernel_node_, /*ask_cost=*/0);
   env_->SetupEps(/*is_service=*/true);
-  env_->SetAskHandler([this](const AskMsg& ask, std::function<void(AskReply)> reply) {
+  env_->SetAskHandler([this](const AskMsg& ask, UserEnv::AskReplyFn reply) {
     OnAsk(ask, std::move(reply));
   });
   env_->SetRequestHandler([this](const Message& msg) { OnRequest(msg); });
@@ -66,72 +66,76 @@ FsService::Session* FsService::SessionOf(uint64_t id) {
 // Kernel exchange-asks
 // ---------------------------------------------------------------------------
 
-void FsService::OnAsk(const AskMsg& ask, std::function<void(AskReply)> reply) {
+void FsService::OnAsk(const AskMsg& ask, UserEnv::AskReplyFn reply) {
+  CHECK(!ask_reply_) << "ask delivered while another is in service";
+  ask_reply_ = std::move(reply);
   switch (ask.op) {
     case AskOp::kOpenSession:
-      AskOpenSession(ask, std::move(reply));
+      AskOpenSession(ask);
       return;
     case AskOp::kExchange:
-      AskExchange(ask, std::move(reply));
+      AskExchange(ask);
       return;
-    case AskOp::kCloseSession: {
+    case AskOp::kCloseSession:
       sessions_.erase(ask.session);
-      AskReply r;
-      reply(std::move(r));
+      AnswerAsk(AskReply());
       return;
-    }
     default: {
       AskReply r;
       r.err = ErrCode::kInvalidArgs;
-      reply(std::move(r));
+      AnswerAsk(std::move(r));
       return;
     }
   }
 }
 
-void FsService::AskOpenSession(const AskMsg& ask, std::function<void(AskReply)> reply) {
-  Session session;
+void FsService::AnswerAsk(AskReply reply) {
+  UserEnv::AskReplyFn answer = std::move(ask_reply_);
+  answer(std::move(reply));
+}
+
+void FsService::AskOpenSession(const AskMsg& ask) {
+  Session& session = sessions_[next_session_];
   session.id = next_session_++;
   session.client = ask.client;
-  sessions_[session.id] = session;
   fs_stats_.sessions++;
   uint64_t id = session.id;
-  env_->Compute(t_.svc_open, [this, id, reply = std::move(reply)] {
+  env_->Compute(t_.svc_open, [this, id] {
     AskReply r;
     r.err = ErrCode::kOk;
     r.share_sel = service_sel_;
     r.session = id;
-    reply(std::move(r));
+    AnswerAsk(std::move(r));
   });
 }
 
-void FsService::AskExchange(const AskMsg& ask, std::function<void(AskReply)> reply) {
+void FsService::AskExchange(const AskMsg& ask) {
   Session* session = SessionOf(ask.session);
   const FsRequest* req = MsgAs<FsRequest>(ask.payload);
   if (session == nullptr || req == nullptr) {
     AskReply r;
     r.err = ErrCode::kInvalidArgs;
-    reply(std::move(r));
+    AnswerAsk(std::move(r));
     return;
   }
   switch (req->op) {
     case FsOp::kOpen:
-      HandleOpen(session, *req, std::move(reply));
+      HandleOpen(session, *req);
       return;
     case FsOp::kNextExtent:
-      HandleNextExtent(session, *req, std::move(reply));
+      HandleNextExtent(session, *req);
       return;
     default: {
       AskReply r;
       r.err = ErrCode::kInvalidArgs;
-      reply(std::move(r));
+      AnswerAsk(std::move(r));
       return;
     }
   }
 }
 
 void FsService::DeriveExtent(Inode* inode, uint64_t offset, bool write,
-                             std::function<void(CapSel, uint64_t)> cb) {
+                             UniqueFn<void(CapSel, uint64_t)> cb) {
   uint64_t extent_start = offset / kFsExtentBytes * kFsExtentBytes;
   if (write) {
     image_.Grow(inode, extent_start + kFsExtentBytes);
@@ -140,16 +144,17 @@ void FsService::DeriveExtent(Inode* inode, uint64_t offset, bool write,
   CHECK_GT(limit, extent_start) << "extent request beyond file";
   uint64_t extent_len = std::min(kFsExtentBytes, limit - extent_start);
   uint32_t perms = write ? kPermRW : kPermR;
+  derive_done_ = std::move(cb);
   env_->DeriveMem(mem_root_sel_, inode->offset + extent_start, extent_len, perms,
-                  [this, extent_len, cb = std::move(cb)](const SyscallReply& reply) {
+                  [this, extent_len](const SyscallReply& reply) {
                     CHECK(reply.err == ErrCode::kOk) << "derive failed";
                     fs_stats_.extents_handed++;
-                    cb(reply.sel, extent_len);
+                    UniqueFn<void(CapSel, uint64_t)> done = std::move(derive_done_);
+                    done(reply.sel, extent_len);
                   });
 }
 
-void FsService::HandleOpen(Session* session, const FsRequest& req,
-                           std::function<void(AskReply)> reply) {
+void FsService::HandleOpen(Session* session, const FsRequest& req) {
   bool write = (req.flags & kOpenWrite) != 0;
   Inode* inode = image_.LookupMutable(req.path);
   if (inode == nullptr && (req.flags & kOpenCreate) != 0) {
@@ -157,51 +162,50 @@ void FsService::HandleOpen(Session* session, const FsRequest& req,
     inode = image_.LookupMutable(req.path);
   }
   if (inode == nullptr || inode->is_dir) {
-    env_->Compute(t_.svc_open, [reply = std::move(reply)] {
+    env_->Compute(t_.svc_open, [this] {
       AskReply r;
       r.err = ErrCode::kNoSuchFile;
-      reply(std::move(r));
+      AnswerAsk(std::move(r));
     });
     return;
   }
+  // The file joins the session's table now; its first extent is recorded
+  // once derived. The client learns the fid only from this ask's answer,
+  // so nothing can reach the entry in between.
   uint64_t fid = next_fid_++;
-  OpenFile file;
+  OpenFile& file = session->files[fid];
   file.path = req.path;
   file.fid = fid;
   file.flags = req.flags;
   fs_stats_.opens++;
   uint64_t size = inode->size;
   uint64_t session_id = session->id;
-  env_->Compute(t_.svc_open, [this, inode, write, fid, size, session_id,
-                              file = std::move(file), reply = std::move(reply)]() mutable {
-    DeriveExtent(inode, 0, write,
-                 [this, fid, size, session_id, file = std::move(file),
-                  reply = std::move(reply)](CapSel sel, uint64_t extent_len) mutable {
-                   file.handed.push_back(sel);
-                   Session* live_session = SessionOf(session_id);
-                   CHECK(live_session != nullptr);
-                   live_session->files[fid] = std::move(file);
-                   auto fs_reply = NewMsg<FsReply>();
-                   fs_reply->err = ErrCode::kOk;
-                   fs_reply->fid = fid;
-                   fs_reply->size = size;
-                   (void)extent_len;
-                   AskReply r;
-                   r.err = ErrCode::kOk;
-                   r.share_sel = sel;
-                   r.payload = fs_reply;
-                   reply(std::move(r));
-                 });
+  env_->Compute(t_.svc_open, [this, inode, write, fid, size, session_id] {
+    DeriveExtent(inode, 0, write, [this, fid, size, session_id](CapSel sel, uint64_t) {
+      Session* live_session = SessionOf(session_id);
+      CHECK(live_session != nullptr);
+      auto fit = live_session->files.find(fid);
+      CHECK(fit != live_session->files.end());
+      fit->second.handed.push_back(sel);
+      auto fs_reply = NewMsg<FsReply>();
+      fs_reply->err = ErrCode::kOk;
+      fs_reply->fid = fid;
+      fs_reply->size = size;
+      AskReply r;
+      r.err = ErrCode::kOk;
+      r.share_sel = sel;
+      r.payload = std::move(fs_reply);
+      AnswerAsk(std::move(r));
+    });
   });
 }
 
-void FsService::HandleNextExtent(Session* session, const FsRequest& req,
-                                 std::function<void(AskReply)> reply) {
+void FsService::HandleNextExtent(Session* session, const FsRequest& req) {
   auto fit = session->files.find(req.fid);
   if (fit == session->files.end()) {
     AskReply r;
     r.err = ErrCode::kInvalidArgs;
-    reply(std::move(r));
+    AnswerAsk(std::move(r));
     return;
   }
   OpenFile* file = &fit->second;
@@ -209,32 +213,30 @@ void FsService::HandleNextExtent(Session* session, const FsRequest& req,
   if (inode == nullptr) {
     AskReply r;
     r.err = ErrCode::kNoSuchFile;
-    reply(std::move(r));
+    AnswerAsk(std::move(r));
     return;
   }
   bool write = (file->flags & kOpenWrite) != 0;
   uint64_t fid = req.fid;
+  uint64_t offset = req.offset;
   uint64_t session_id = session->id;
-  env_->Compute(t_.svc_exchange, [this, inode, req, write, fid, session_id,
-                                  reply = std::move(reply)]() mutable {
-    DeriveExtent(inode, req.offset, write,
-                 [this, fid, session_id, reply = std::move(reply)](CapSel sel,
-                                                                   uint64_t extent_len) mutable {
-                   Session* live_session = SessionOf(session_id);
-                   CHECK(live_session != nullptr);
-                   auto live_fit = live_session->files.find(fid);
-                   CHECK(live_fit != live_session->files.end());
-                   live_fit->second.handed.push_back(sel);
-                   auto fs_reply = NewMsg<FsReply>();
-                   fs_reply->err = ErrCode::kOk;
-                   fs_reply->fid = fid;
-                   fs_reply->size = extent_len;
-                   AskReply r;
-                   r.err = ErrCode::kOk;
-                   r.share_sel = sel;
-                   r.payload = fs_reply;
-                   reply(std::move(r));
-                 });
+  env_->Compute(t_.svc_exchange, [this, inode, offset, write, fid, session_id] {
+    DeriveExtent(inode, offset, write, [this, fid, session_id](CapSel sel, uint64_t extent_len) {
+      Session* live_session = SessionOf(session_id);
+      CHECK(live_session != nullptr);
+      auto live_fit = live_session->files.find(fid);
+      CHECK(live_fit != live_session->files.end());
+      live_fit->second.handed.push_back(sel);
+      auto fs_reply = NewMsg<FsReply>();
+      fs_reply->err = ErrCode::kOk;
+      fs_reply->fid = fid;
+      fs_reply->size = extent_len;
+      AskReply r;
+      r.err = ErrCode::kOk;
+      r.share_sel = sel;
+      r.payload = std::move(fs_reply);
+      AnswerAsk(std::move(r));
+    });
   });
 }
 
@@ -288,17 +290,23 @@ void FsService::ReplyMeta(const Message& msg, ErrCode err, uint64_t size, uint32
   env_->ReplyRequest(msg, reply);
 }
 
-void FsService::RevokeHanded(std::shared_ptr<std::vector<CapSel>> handed, size_t idx,
-                             std::function<void()> done) {
-  if (idx >= handed->size()) {
+void FsService::RevokeHanded(SelList handed, InlineFn done) {
+  revoking_ = std::move(handed);
+  revoke_next_ = 0;
+  revoke_done_ = std::move(done);
+  RevokeNext();
+}
+
+void FsService::RevokeNext() {
+  if (revoke_next_ >= revoking_.size()) {
+    InlineFn done = std::move(revoke_done_);
     done();
     return;
   }
-  env_->Revoke((*handed)[idx], [this, handed, idx, done = std::move(done)](
-                                   const SyscallReply& reply) mutable {
+  env_->Revoke(revoking_[revoke_next_++], [this](const SyscallReply& reply) {
     CHECK(reply.err == ErrCode::kOk) << "extent revoke failed: " << ErrName(reply.err);
     fs_stats_.caps_revoked++;
-    RevokeHanded(handed, idx + 1, std::move(done));
+    RevokeNext();
   });
 }
 
@@ -308,12 +316,13 @@ void FsService::MetaClose(Session* session, const FsRequest& req, const Message&
     env_->Compute(t_.svc_close, [this, msg] { ReplyMeta(msg, ErrCode::kInvalidArgs); });
     return;
   }
-  auto handed = std::make_shared<std::vector<CapSel>>(std::move(fit->second.handed));
+  SelList handed = std::move(fit->second.handed);
   session->files.erase(fit);
   fs_stats_.closes++;
-  uint32_t count = static_cast<uint32_t>(handed->size());
-  env_->Compute(t_.svc_close, [this, handed, msg, count] {
-    RevokeHanded(handed, 0, [this, msg, count] { ReplyMeta(msg, ErrCode::kOk, 0, 0, count); });
+  uint32_t count = static_cast<uint32_t>(handed.size());
+  env_->Compute(t_.svc_close, [this, handed = std::move(handed), msg, count]() mutable {
+    RevokeHanded(std::move(handed),
+                 [this, msg, count] { ReplyMeta(msg, ErrCode::kOk, 0, 0, count); });
   });
 }
 
@@ -347,18 +356,18 @@ void FsService::MetaUnlink(Session* session, const FsRequest& req, const Message
   // If the requesting session still has the file open, its handed
   // capabilities are revoked immediately (the SQLite journal pattern:
   // unlink-while-open).
-  auto handed = std::make_shared<std::vector<CapSel>>();
+  SelList handed;
   for (auto& [fid, file] : session->files) {
     (void)fid;
     if (file.path == req.path) {
-      handed->insert(handed->end(), file.handed.begin(), file.handed.end());
+      handed.insert(handed.end(), file.handed.begin(), file.handed.end());
       file.handed.clear();
     }
   }
   bool ok = image_.Unlink(req.path);
-  uint32_t count = static_cast<uint32_t>(handed->size());
-  env_->Compute(t_.svc_meta, [this, msg, handed, ok, count] {
-    RevokeHanded(handed, 0, [this, msg, ok, count] {
+  uint32_t count = static_cast<uint32_t>(handed.size());
+  env_->Compute(t_.svc_meta, [this, msg, handed = std::move(handed), ok, count]() mutable {
+    RevokeHanded(std::move(handed), [this, msg, ok, count] {
       ReplyMeta(msg, ok ? ErrCode::kOk : ErrCode::kNoSuchFile, 0, 0, count);
     });
   });

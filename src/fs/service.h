@@ -19,11 +19,11 @@
 #define SEMPEROS_FS_SERVICE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "base/pool_alloc.h"
 #include "core/timing.h"
 #include "core/userlib.h"
 #include "fs/fs_image.h"
@@ -58,24 +58,28 @@ class FsService : public Program {
   UserEnv& env() { return *env_; }
 
  private:
+  // Derived extent capabilities of one open file (usually exactly one).
+  using SelList = std::vector<CapSel, PoolAllocator<CapSel>>;
   struct OpenFile {
     std::string path;
     uint64_t fid = 0;
     uint32_t flags = 0;
-    std::vector<CapSel> handed;  // derived extent capabilities (our table)
+    SelList handed;  // derived extent capabilities (our table)
   };
   struct Session {
     uint64_t id = 0;
     VpeId client = kInvalidVpe;
-    std::map<uint64_t, OpenFile> files;  // keyed by fid
+    PooledMap<uint64_t, OpenFile> files;  // keyed by fid
   };
 
-  void OnAsk(const AskMsg& ask, std::function<void(AskReply)> reply);
-  void AskOpenSession(const AskMsg& ask, std::function<void(AskReply)> reply);
-  void AskExchange(const AskMsg& ask, std::function<void(AskReply)> reply);
-  void HandleOpen(Session* session, const FsRequest& req, std::function<void(AskReply)> reply);
-  void HandleNextExtent(Session* session, const FsRequest& req,
-                        std::function<void(AskReply)> reply);
+  // Asks park their reply functor in ask_reply_; the handlers answer
+  // through AnswerAsk.
+  void OnAsk(const AskMsg& ask, UserEnv::AskReplyFn reply);
+  void AnswerAsk(AskReply reply);
+  void AskOpenSession(const AskMsg& ask);
+  void AskExchange(const AskMsg& ask);
+  void HandleOpen(Session* session, const FsRequest& req);
+  void HandleNextExtent(Session* session, const FsRequest& req);
 
   void OnRequest(const Message& msg);
   void MetaClose(Session* session, const FsRequest& req, const Message& msg);
@@ -87,11 +91,11 @@ class FsService : public Program {
   // Derives the extent capability covering byte `offset` of `inode` and
   // returns (via cb) the new selector. Grows the file for writes.
   void DeriveExtent(Inode* inode, uint64_t offset, bool write,
-                    std::function<void(CapSel, uint64_t extent_len)> cb);
+                    UniqueFn<void(CapSel, uint64_t extent_len)> cb);
 
-  // Revokes handed[idx..] sequentially, then runs done.
-  void RevokeHanded(std::shared_ptr<std::vector<CapSel>> handed, size_t idx,
-                    std::function<void()> done);
+  // Revokes every selector in `handed` sequentially, then runs done.
+  void RevokeHanded(SelList handed, InlineFn done);
+  void RevokeNext();
 
   Session* SessionOf(uint64_t id);
   void ReplyMeta(const Message& msg, ErrCode err, uint64_t size = 0, uint32_t entries = 0,
@@ -105,7 +109,16 @@ class FsService : public Program {
   CapSel service_sel_ = kInvalidSel;
   std::unique_ptr<UserEnv> env_;
 
-  std::map<uint64_t, Session> sessions_;
+  PooledMap<uint64_t, Session> sessions_;
+  // UserEnv hands the service one ask or request at a time, and a service
+  // has at most one syscall outstanding. So the continuations of the
+  // operation in progress wait here, one slot each, instead of nesting
+  // inside one another's closures.
+  UserEnv::AskReplyFn ask_reply_;                  // answers the ask in service
+  UniqueFn<void(CapSel, uint64_t)> derive_done_;   // DeriveExtent's continuation
+  SelList revoking_;                               // RevokeHanded's selectors...
+  size_t revoke_next_ = 0;                         // ...the next one to revoke...
+  InlineFn revoke_done_;                           // ...and what runs after the last
   uint64_t next_session_ = 1;
   uint64_t next_fid_ = 1;
   FsServiceStats fs_stats_;

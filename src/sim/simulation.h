@@ -358,7 +358,7 @@ class Simulation {
   void RunSlot(uint32_t slot) {
     InlineFn& fn = Slot(slot);
     fn();
-    fn = InlineFn();
+    fn = nullptr;
     free_slots_.push_back(slot);
   }
 

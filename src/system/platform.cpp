@@ -335,12 +335,13 @@ void Platform::Boot() {
   }
 }
 
-void Platform::MigratePe(NodeId pe, KernelId dst_kernel, std::function<void(ErrCode)> done) {
+void Platform::MigratePe(NodeId pe, KernelId dst_kernel, UniqueFn<void(ErrCode)> done) {
   CHECK(booted_);
   CHECK_LT(dst_kernel, config_.kernels);
   KernelId src = membership_.KernelOf(pe);
   CHECK_NE(src, dst_kernel) << "PE " << pe << " already belongs to kernel " << dst_kernel;
-  kernels_.at(src)->AdminMigratePe(pe, dst_kernel, [this, pe, dst_kernel, done](ErrCode err) {
+  kernels_.at(src)->AdminMigratePe(pe, dst_kernel, [this, pe, dst_kernel,
+                                                    done = std::move(done)](ErrCode err) mutable {
     if (err == ErrCode::kOk) {
       // Mirror with the epoch the handoff protocol minted (the destination
       // installed it before completing), NOT a Reassign-minted local one: a

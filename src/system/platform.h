@@ -144,7 +144,7 @@ class Platform {
   // the platform's own membership copy is updated first, so kernel_of()
   // reflects the move. Requires a booted platform and a running simulation
   // (call before RunToCompletion, or from a scheduled event).
-  void MigratePe(NodeId pe, KernelId dst_kernel, std::function<void(ErrCode)> done = nullptr);
+  void MigratePe(NodeId pe, KernelId dst_kernel, UniqueFn<void(ErrCode)> done = nullptr);
 
   // --- Fault tolerance (src/ft) ---
 

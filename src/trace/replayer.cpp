@@ -13,7 +13,7 @@ const char* kTag = "replayer";
 }  // namespace
 
 TraceReplayer::TraceReplayer(Trace trace, NodeId kernel_node, const TimingModel& timing,
-                             std::string service_name, std::function<void(const Result&)> on_done)
+                             std::string service_name, UniqueFn<void(const Result&)> on_done)
     : trace_(std::move(trace)),
       kernel_node_(kernel_node),
       t_(timing),
@@ -138,26 +138,25 @@ void TraceReplayer::DoOpen(const TraceOp& op) {
   });
 }
 
-void TraceReplayer::FetchExtent(OpenFile* file, uint64_t offset, std::function<void()> then) {
+void TraceReplayer::FetchExtent(OpenFile* file, uint64_t offset, InlineFn then) {
+  fetch_then_ = std::move(then);
   auto req = NewMsg<FsRequest>();
   req->op = FsOp::kNextExtent;
   req->fid = file->fid;
   req->offset = offset;
-  env_->Exchange(session_sel_, req,
-                 [this, file, offset, then = std::move(then)](const SyscallReply& reply) {
-                   CHECK(reply.err == ErrCode::kOk)
-                       << "next-extent failed: " << ErrName(reply.err);
-                   result_.cap_ops++;
-                   file->extent_sel = reply.sel;
-                   file->extent_start = offset / kFsExtentBytes * kFsExtentBytes;
-                   file->extent_len = reply.cap.mem_size;
-                   file->handed++;
-                   env_->Activate(file->extent_sel, file->mem_ep,
-                                  [then = std::move(then)](const SyscallReply& areply) {
-                                    CHECK(areply.err == ErrCode::kOk);
-                                    then();
-                                  });
-                 });
+  env_->Exchange(session_sel_, std::move(req), [this, file, offset](const SyscallReply& reply) {
+    CHECK(reply.err == ErrCode::kOk) << "next-extent failed: " << ErrName(reply.err);
+    result_.cap_ops++;
+    file->extent_sel = reply.sel;
+    file->extent_start = offset / kFsExtentBytes * kFsExtentBytes;
+    file->extent_len = reply.cap.mem_size;
+    file->handed++;
+    env_->Activate(file->extent_sel, file->mem_ep, [this](const SyscallReply& areply) {
+      CHECK(areply.err == ErrCode::kOk);
+      InlineFn fetched = std::move(fetch_then_);
+      fetched();
+    });
+  });
 }
 
 void TraceReplayer::DoIo(const TraceOp& op, bool write) {

@@ -7,11 +7,10 @@
 #ifndef SEMPEROS_TRACE_REPLAYER_H_
 #define SEMPEROS_TRACE_REPLAYER_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 
+#include "base/pool_alloc.h"
 #include "core/timing.h"
 #include "core/userlib.h"
 #include "fs/protocol.h"
@@ -33,7 +32,7 @@ class TraceReplayer : public Program {
 
   TraceReplayer(Trace trace, NodeId kernel_node, const TimingModel& timing,
                 std::string service_name = "m3fs",
-                std::function<void(const Result&)> on_done = nullptr);
+                UniqueFn<void(const Result&)> on_done = nullptr);
 
   void Setup() override;
   void Start() override;
@@ -59,7 +58,8 @@ class TraceReplayer : public Program {
   void DoOpen(const TraceOp& op);
   void DoIo(const TraceOp& op, bool write);
   void IoChunk(OpenFile* file, bool write, uint64_t remaining);
-  void FetchExtent(OpenFile* file, uint64_t offset, std::function<void()> then);
+  // Obtains and activates the extent covering `offset`, then runs `then`.
+  void FetchExtent(OpenFile* file, uint64_t offset, InlineFn then);
   void DoClose(const TraceOp& op);
   void DoMeta(const TraceOp& op, FsOp fs_op);
 
@@ -67,11 +67,12 @@ class TraceReplayer : public Program {
   NodeId kernel_node_;
   TimingModel t_;
   std::string service_name_;
-  std::function<void(const Result&)> on_done_;
+  UniqueFn<void(const Result&)> on_done_;
+  InlineFn fetch_then_;  // FetchExtent's continuation (one syscall at a time)
 
   std::unique_ptr<UserEnv> env_;
   CapSel session_sel_ = kInvalidSel;
-  std::map<std::string, OpenFile> files_;
+  PooledMap<std::string, OpenFile> files_;
   size_t op_index_ = 0;
   uint8_t mem_eps_in_use_ = 0;  // bitmap over the 8 memory endpoints
   Result result_;

@@ -317,10 +317,18 @@ SaturationResult FindSaturation(const SaturationConfig& config) {
   };
 
   SaturationResult result;
+  // The search steers by nominal rates, but measured arrivals fall short of
+  // nominal, so the answer is the measured offered rate of the highest
+  // sustained probe. Sustained probes only ever climb (doubling, then
+  // bisection above the last one), so that is the latest sustained probe.
+  double best_offered = 0;
   auto probe_at = [&](double rate) {
     SaturationProbe probe = ProbeRate(config.traffic, rate);
     probe.sustained = sustained(probe);
     result.probes.push_back(probe);
+    if (probe.sustained) {
+      best_offered = probe.offered_rps;
+    }
     return probe.sustained;
   };
 
@@ -355,7 +363,7 @@ SaturationResult FindSaturation(const SaturationConfig& config) {
   if (hi == 0) {
     // Sustained everywhere probed: the search starting rate was far below
     // the knee; report the highest sustained probe.
-    result.saturation_rps = lo;
+    result.saturation_rps = best_offered;
     return result;
   }
   for (uint32_t i = 0; i < config.refine_steps; ++i) {
@@ -366,7 +374,7 @@ SaturationResult FindSaturation(const SaturationConfig& config) {
       hi = mid;
     }
   }
-  result.saturation_rps = lo;
+  result.saturation_rps = best_offered;
   return result;
 }
 

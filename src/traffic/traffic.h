@@ -165,7 +165,7 @@ TrafficResult RunTraffic(const TrafficConfig& config);
 // independent deterministic RunTraffic, so the search path — and therefore
 // the reported saturation rate — is a pure function of the config.
 struct SaturationProbe {
-  double offered_rps = 0;
+  double offered_rps = 0;  // measured arrivals per second of the window
   double throughput_rps = 0;
   double p99_us = 0;
   Cycles makespan = 0;  // simulated cost of this probe's run
@@ -180,7 +180,10 @@ struct SaturationConfig {
 };
 
 struct SaturationResult {
-  double saturation_rps = 0;    // highest sustained offered rate probed
+  // Measured offered rate (offered_rps) of the highest sustained probe —
+  // what the system actually sustained, not the nominal rate the search
+  // steered by.
+  double saturation_rps = 0;
   std::vector<SaturationProbe> probes;
 };
 

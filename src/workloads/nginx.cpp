@@ -40,25 +40,26 @@ void NginxServer::Pump() {
   busy_ = true;
   Pending next = std::move(pending_.front());
   pending_.pop_front();
+  current_ = std::move(next.msg);
   if (obs::Tracer* tr = pe_->tracer();
-      tr != nullptr && next.msg.body != nullptr && next.msg.body->trace_id != 0) {
-    serve_trace_ = next.msg.body->trace_id;
-    serve_parent_ = next.msg.body->trace_parent;
+      tr != nullptr && current_.body != nullptr && current_.body->trace_id != 0) {
+    serve_trace_ = current_.body->trace_id;
+    serve_parent_ = current_.body->trace_parent;
     serve_span_ = tr->NextSpanId(pe_->node());
     serve_start_ = next.arrival;
     // Syscalls issued while serving nest under the serve span.
     env_->SetTraceContext(serve_trace_, serve_span_);
   }
-  RunOp(0, next.msg);
+  RunOp(0);
 }
 
-void NginxServer::RunOp(size_t idx, const Message& request) {
+void NginxServer::RunOp(size_t idx) {
   if (idx >= request_trace_.ops.size()) {
-    FinishRequest(request);
+    FinishRequest();
     return;
   }
   const TraceOp& op = request_trace_.ops[idx];
-  auto next = [this, idx, request] { RunOp(idx + 1, request); };
+  auto next = [this, idx] { RunOp(idx + 1); };
   switch (op.kind) {
     case TraceOpKind::kStat: {
       auto req = NewMsg<FsRequest>();
@@ -66,7 +67,7 @@ void NginxServer::RunOp(size_t idx, const Message& request) {
       req->path = op.path;
       req->trace_id = serve_trace_;
       req->trace_parent = serve_span_;
-      env_->Request(req, [next](const Message&) { next(); });
+      env_->Request(std::move(req), [next](const Message&) { next(); });
       return;
     }
     case TraceOpKind::kOpen: {
@@ -74,7 +75,7 @@ void NginxServer::RunOp(size_t idx, const Message& request) {
       req->op = FsOp::kOpen;
       req->path = op.path;
       req->flags = op.flags;
-      env_->Exchange(session_sel_, req, [this, next](const SyscallReply& reply) {
+      env_->Exchange(session_sel_, std::move(req), [this, next](const SyscallReply& reply) {
         CHECK(reply.err == ErrCode::kOk) << "nginx open failed: " << ErrName(reply.err);
         const FsReply* fs = MsgAs<FsReply>(reply.payload);
         CHECK(fs != nullptr);
@@ -107,7 +108,7 @@ void NginxServer::RunOp(size_t idx, const Message& request) {
       req->path = op.path;
       req->trace_id = serve_trace_;
       req->trace_parent = serve_span_;
-      env_->Request(req, [next](const Message&) { next(); });
+      env_->Request(std::move(req), [next](const Message&) { next(); });
       return;
     }
     case TraceOpKind::kClose: {
@@ -116,7 +117,7 @@ void NginxServer::RunOp(size_t idx, const Message& request) {
       req->fid = open_.fid;
       req->trace_id = serve_trace_;
       req->trace_parent = serve_span_;
-      env_->Request(req, [next](const Message&) { next(); });
+      env_->Request(std::move(req), [next](const Message&) { next(); });
       return;
     }
     case TraceOpKind::kCompute: {
@@ -128,9 +129,9 @@ void NginxServer::RunOp(size_t idx, const Message& request) {
   }
 }
 
-void NginxServer::FinishRequest(const Message& request) {
+void NginxServer::FinishRequest() {
   served_++;
-  const NginxRequestMsg* req = request.As<NginxRequestMsg>();
+  const NginxRequestMsg* req = current_.As<NginxRequestMsg>();
   auto response = NewMsg<NginxResponseMsg>();
   response->seq = req != nullptr ? req->seq : 0;
   if (serve_span_ != 0) {
@@ -151,7 +152,8 @@ void NginxServer::FinishRequest(const Message& request) {
     serve_parent_ = 0;
     env_->SetTraceContext(0, 0);
   }
-  pe_->dtu().Reply(kNginxServerRecvEp, request, response);
+  pe_->dtu().Reply(kNginxServerRecvEp, current_, std::move(response));
+  current_ = Message();
   busy_ = false;
   Pump();
 }

@@ -16,10 +16,10 @@
 #ifndef SEMPEROS_WORKLOADS_NGINX_H_
 #define SEMPEROS_WORKLOADS_NGINX_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 
+#include "base/ring.h"
 #include "core/timing.h"
 #include "core/userlib.h"
 #include "fs/protocol.h"
@@ -59,8 +59,10 @@ class NginxServer : public Program {
 
  private:
   void Pump();
-  void RunOp(size_t idx, const Message& request);
-  void FinishRequest(const Message& request);
+  // Replays op `idx` of the request trace for the request in service
+  // (current_), then continues with the next op.
+  void RunOp(size_t idx);
+  void FinishRequest();
 
   struct OpenState {
     uint64_t fid = 0;
@@ -83,8 +85,9 @@ class NginxServer : public Program {
   std::string service_name_;
   std::unique_ptr<UserEnv> env_;
   CapSel session_sel_ = kInvalidSel;
-  std::deque<Pending> pending_;
+  Ring<Pending> pending_;
   bool busy_ = false;
+  Message current_;  // the request in service (one at a time)
   OpenState open_;
   uint64_t served_ = 0;
   // Observability: the open serve span (traced requests only).

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
+#include "base/ring.h"
 #include "base/rng.h"
 #include "base/status.h"
 #include "base/types.h"
@@ -109,6 +112,44 @@ TEST(Rng, BernoulliRoughlyFair) {
   }
   EXPECT_GT(heads, 4700);
   EXPECT_LT(heads, 5300);
+}
+
+TEST(Ring, KeepsFifoOrderAcrossWrapAndGrowth) {
+  Ring<int> ring;
+  std::vector<int> popped;
+  int next = 0;
+  // Interleave pushes and pops so the head wraps before the ring grows.
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      ring.push_back(next++);
+    }
+    for (int i = 0; i < 2; ++i) {
+      popped.push_back(ring.front());
+      ring.pop_front();
+    }
+  }
+  EXPECT_EQ(ring.size(), 50u);
+  while (!ring.empty()) {
+    popped.push_back(ring.front());
+    ring.pop_front();
+  }
+  ASSERT_EQ(popped.size(), 150u);
+  for (int i = 0; i < 150; ++i) {
+    EXPECT_EQ(popped[i], i);
+  }
+}
+
+TEST(Ring, PopReleasesTheElement) {
+  Ring<std::shared_ptr<int>> ring;
+  auto value = std::make_shared<int>(7);
+  ring.push_back(value);
+  ring.push_back(value);
+  EXPECT_EQ(value.use_count(), 3);
+  ring.pop_front();
+  EXPECT_EQ(value.use_count(), 2);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(value.use_count(), 1);
 }
 
 }  // namespace

@@ -5,11 +5,37 @@
 // and Pointless.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/kernel.h"
 #include "tests/test_util.h"
 
 namespace semperos {
 namespace {
+
+TEST(ChildList, KeepsInsertionOrderInlineAndSpilled) {
+  auto key = [](uint64_t obj) { return DdlKey::Make(1, 1, CapType::kMem, obj); };
+  ChildList list;
+  EXPECT_TRUE(list.empty());
+  list.push_back(key(1));
+  EXPECT_EQ(list.size(), 1u);
+  EXPECT_FALSE(list.Remove(key(2)));
+  EXPECT_TRUE(list.Remove(key(1)));
+  EXPECT_TRUE(list.empty());
+  for (uint64_t obj = 1; obj <= 5; ++obj) {
+    list.push_back(key(obj));  // spills on the second child
+  }
+  EXPECT_TRUE(list.Remove(key(3)));
+  std::vector<DdlKey> order(list.begin(), list.end());
+  EXPECT_EQ(order, (std::vector<DdlKey>{key(1), key(2), key(4), key(5)}));
+  EXPECT_EQ(list.back(), key(5));
+  for (uint64_t obj : {1, 2, 4, 5}) {
+    EXPECT_TRUE(list.Remove(key(obj)));
+  }
+  EXPECT_TRUE(list.empty());
+  list.push_back(key(9));
+  EXPECT_EQ(list[0], key(9));
+}
 
 TEST(Obtain, GroupInternal) {
   ClientRig rig = MakeRig(1, 2);

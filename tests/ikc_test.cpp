@@ -82,7 +82,7 @@ TEST(ServiceDirectory, AnnouncementsReachAllKernels) {
     void Setup() override {
       env_ = std::make_unique<UserEnv>(pe_, kernel_node_, timing_.ask_party);
       env_->SetupEps(true);
-      env_->SetAskHandler([this](const AskMsg& ask, std::function<void(AskReply)> reply) {
+      env_->SetAskHandler([this](const AskMsg& ask, UserEnv::AskReplyFn reply) {
         AskReply r;
         r.err = ErrCode::kOk;
         r.share_sel = sel_;

@@ -6,6 +6,7 @@
 // auditor (src/audit/cap_audit.h documents the catalogue).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -40,7 +41,10 @@ TEST_P(CapabilityFuzz, InvariantsHoldAfterRandomInterleavings) {
   ClientRig rig = MakeRig(param.kernels, param.users);
   Platform& p = rig.p();
 
-  std::vector<bool> busy(param.users, false);
+  // One byte per client, not vector<bool>: under the sharded engine the
+  // reply callbacks of different clients run on different threads, and
+  // packed bits would share a word.
+  std::vector<uint8_t> busy(param.users, false);
   std::vector<bool> dead(param.users, false);
   // Selectors each client has ever seen (some will be stale — the kernel
   // must answer those with clean errors, never crash or corrupt state).

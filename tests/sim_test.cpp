@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "base/rng.h"
 #include "sim/executor.h"
+#include "sim/inline_fn.h"
 #include "sim/simulation.h"
 
 namespace semperos {
@@ -337,6 +341,152 @@ TEST(Executor, FifoOrderPreserved) {
   sim.Schedule(1, [&] { exec.Post(1, [&] { order.push_back(2); }); });
   sim.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// ---------------------------------------------------------------------------
+// UniqueFn: the move-only callable behind events and protocol continuations
+// ---------------------------------------------------------------------------
+
+// Counts live instances so tests can check that a callable destroys each of
+// its captures exactly once, however often it was moved.
+struct Tracked {
+  static int constructed;
+  static int destroyed;
+  static int Live() { return constructed - destroyed; }
+  static void Reset() { constructed = destroyed = 0; }
+  Tracked() { ++constructed; }
+  Tracked(const Tracked&) { ++constructed; }
+  Tracked(Tracked&&) noexcept { ++constructed; }
+  ~Tracked() { ++destroyed; }
+};
+int Tracked::constructed = 0;
+int Tracked::destroyed = 0;
+
+// A closure of exactly `Bytes` bytes that reports where it is stored.
+template <size_t Bytes>
+struct SizedProbe {
+  const void** where;
+  unsigned char pad[Bytes - sizeof(const void**)] = {};
+  void operator()() { *where = this; }
+};
+
+template <size_t Bytes>
+bool RunsInPlace() {
+  const void* where = nullptr;
+  InlineFn fn = SizedProbe<Bytes>{&where};
+  fn();
+  auto* self = reinterpret_cast<const unsigned char*>(&fn);
+  auto* at = static_cast<const unsigned char*>(where);
+  return at >= self && at < self + sizeof(fn);
+}
+
+TEST(UniqueFn, IsMoveOnly) {
+  static_assert(!std::is_copy_constructible_v<InlineFn>);
+  static_assert(!std::is_copy_assignable_v<InlineFn>);
+  static_assert(std::is_nothrow_move_constructible_v<InlineFn>);
+  static_assert(std::is_nothrow_move_assignable_v<InlineFn>);
+  int calls = 0;
+  InlineFn a = [&calls] { ++calls; };
+  InlineFn b = std::move(a);
+  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(static_cast<bool>(b));
+  b();
+  InlineFn c;
+  c = std::move(b);
+  EXPECT_FALSE(static_cast<bool>(b));  // NOLINT(bugprone-use-after-move)
+  c();
+  c();  // callable more than once
+  EXPECT_EQ(calls, 3);
+  c = nullptr;
+  EXPECT_FALSE(static_cast<bool>(c));
+  // A move-only capture is fine.
+  auto owned = std::make_unique<int>(7);
+  UniqueFn<int()> d = [p = std::move(owned)] { return *p; };
+  EXPECT_EQ(d(), 7);
+}
+
+TEST(UniqueFn, InlineUpToTheBufferSizeHeapBeyond) {
+  constexpr size_t kMax = InlineFn::kInlineBytes;
+#ifdef SEMPEROS_DISABLE_POOLS
+  // Sanitizer builds store every closure out of line.
+  EXPECT_FALSE(InlineFn::kStoresInline<SizedProbe<kMax>>);
+  EXPECT_FALSE(RunsInPlace<kMax>());
+#else
+  EXPECT_TRUE(InlineFn::kStoresInline<SizedProbe<kMax>>);
+  EXPECT_TRUE(RunsInPlace<kMax>());
+  EXPECT_TRUE(RunsInPlace<16>());
+#endif
+  EXPECT_FALSE(InlineFn::kStoresInline<SizedProbe<kMax + 8>>);
+  EXPECT_FALSE(RunsInPlace<kMax + 8>());
+  // Moving an out-of-line closure hands over the block; it keeps working.
+  const void* where = nullptr;
+  InlineFn big = SizedProbe<kMax + 8>{&where};
+  InlineFn moved = std::move(big);
+  moved();
+  EXPECT_NE(where, nullptr);
+}
+
+TEST(UniqueFn, DestroysEachCaptureExactlyOnce) {
+  Tracked::Reset();
+  {
+    InlineFn small = [t = Tracked()] { (void)t; };
+    InlineFn large = [t = Tracked(), pad = SizedProbe<InlineFn::kInlineBytes>{nullptr}] {
+      (void)t;
+      (void)pad;
+    };
+    EXPECT_EQ(Tracked::Live(), 2);
+    InlineFn a = std::move(small);
+    InlineFn b = std::move(large);
+    a();
+    b();
+    a = std::move(b);  // destroys a's capture, takes over b's
+    EXPECT_EQ(Tracked::Live(), 1);
+    InlineFn c = [t = Tracked()] { (void)t; };
+    c = nullptr;
+    EXPECT_EQ(Tracked::Live(), 1);
+  }
+  // Every construction (including the temporaries and the moves between
+  // storage slots) is matched by exactly one destruction.
+  EXPECT_GT(Tracked::constructed, 3);
+  EXPECT_EQ(Tracked::destroyed, Tracked::constructed);
+}
+
+TEST(UniqueFn, ForwardsByValueAndConstRefArguments) {
+  // By-value parameter: a move-only argument is moved through.
+  UniqueFn<int(std::unique_ptr<int>)> take = [](std::unique_ptr<int> p) { return *p + 1; };
+  EXPECT_EQ(take(std::make_unique<int>(41)), 42);
+  // const& parameter: the callee sees the caller's object, not a copy.
+  std::string text = "semperos";
+  const std::string* seen = nullptr;
+  UniqueFn<size_t(const std::string&)> peek = [&seen](const std::string& s) {
+    seen = &s;
+    return s.size();
+  };
+  EXPECT_EQ(peek(text), 8u);
+  EXPECT_EQ(seen, &text);
+  // Several parameters keep their order.
+  UniqueFn<int(int, const int&, int)> mix = [](int a, const int& b, int c) {
+    return a * 100 + b * 10 + c;
+  };
+  int two = 2;
+  EXPECT_EQ(mix(1, two, 3), 123);
+}
+
+TEST(UniqueFn, EventCallbackSchedulesAndIsResetAfterReturning) {
+  Tracked::Reset();
+  Simulation sim;
+  std::vector<int> log;
+  sim.Schedule(5, [&sim, &log, t = Tracked()] {
+    (void)t;
+    // The capture is alive while the callback runs...
+    log.push_back(Tracked::Live());
+    sim.Schedule(1, [&log] { log.push_back(100 + Tracked::Live()); });
+  });
+  sim.RunUntilIdle();
+  // ...and destroyed once it returned, before the event it scheduled ran.
+  EXPECT_EQ(log, (std::vector<int>{1, 100}));
+  EXPECT_EQ(sim.Now(), 6u);
+  EXPECT_EQ(Tracked::Live(), 0);
 }
 
 }  // namespace

@@ -206,6 +206,27 @@ TEST(Traffic, PostmarkRequestMixRuns) {
   EXPECT_GT(r.p50_us, 0.0);
 }
 
+TEST(Traffic, SaturationRateIsTheMeasuredOfferedRateOfTheBestProbe) {
+  SaturationConfig config;
+  config.traffic = SmallConfig();
+  config.traffic.warmup = 100;
+  config.traffic.requests = 1'000;
+  config.traffic.cooldown = 0;
+  config.max_bracket_steps = 3;
+  config.refine_steps = 2;
+  SaturationResult r = FindSaturation(config);
+  // Sustained probes only climb (doubling, then bisection above the last
+  // one), so the highest sustained probe is the last one.
+  const SaturationProbe* best = nullptr;
+  for (const SaturationProbe& probe : r.probes) {
+    if (probe.sustained) {
+      best = &probe;
+    }
+  }
+  ASSERT_NE(best, nullptr);
+  EXPECT_EQ(r.saturation_rps, best->offered_rps);
+}
+
 TEST(Traffic, SaturationSearchIsDeterministic) {
   SaturationConfig config;
   config.traffic = SmallConfig();

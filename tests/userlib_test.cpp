@@ -55,7 +55,7 @@ TEST(UserEnv, AsksAreSerialized) {
   int max_active = 0;
   int asks = 0;
   rig.client(0).env().SetAskHandler(
-      [&](const AskMsg& ask, std::function<void(AskReply)> reply) {
+      [&](const AskMsg& ask, UserEnv::AskReplyFn reply) {
         active++;
         asks++;
         max_active = std::max(max_active, active);
@@ -81,7 +81,7 @@ TEST(UserEnv, AsksAreSerialized) {
 TEST(UserEnv, AskHandlerCanDeny) {
   ClientRig rig = MakeRig(1, 2);
   CapSel owner_sel = rig.Grant(1);
-  rig.client(1).env().SetAskHandler([](const AskMsg&, std::function<void(AskReply)> reply) {
+  rig.client(1).env().SetAskHandler([](const AskMsg&, UserEnv::AskReplyFn reply) {
     AskReply r;
     r.err = ErrCode::kNoPerm;
     reply(std::move(r));
@@ -102,9 +102,9 @@ TEST(UserEnv, AskHandlerMayIssueSyscallsBeforeReplying) {
   ClientRig rig = MakeRig(1, 2);
   CapSel owner_mem = rig.Grant(1, 1 << 20);
   rig.client(1).env().SetAskHandler(
-      [&rig](const AskMsg&, std::function<void(AskReply)> reply) {
+      [&rig](const AskMsg&, UserEnv::AskReplyFn reply) {
         rig.client(1).env().DeriveMem(2, 0, 4096, kPermR,
-                                      [reply](const SyscallReply& r) {
+                                      [reply = std::move(reply)](const SyscallReply& r) mutable {
                                         ASSERT_EQ(r.err, ErrCode::kOk);
                                         AskReply a;
                                         a.err = ErrCode::kOk;
