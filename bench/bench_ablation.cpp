@@ -4,15 +4,16 @@
 // Not a paper figure — quantifies how the reproduction's knobs shape the
 // headline results:
 //  (a) revocation message batching (the paper's own §5.2 future-work idea),
-//      i.e. --cap-batching's kCapBatch containers folding the per-child
-//      REVOKE_REQs, against Figure 5's tree revocation;
+//      i.e. kCapBatch containers folding the per-child REVOKE_REQs, against
+//      Figure 5's tree revocation;
 //  (b) the DDL-decode cost that separates SemperOS from the M3 baseline
 //      (Table 3's +10.7% / +40.3% columns);
 //  (c) the per-peer in-flight window M_inflight of §4.1;
 //  (d) NoC link contention modelling;
-//  (e) capability-IKC batching + pipelined walks + the remote-DDL cache
-//      (--cap-batching) against the Figure 8 observation that kernels are
-//      "mostly handling capability operations".
+//  (e) capability-IKC batching against the Figure 8 observation that
+//      kernels are "mostly handling capability operations".
+// In both (a) and (e), "off" is batch_max_ops = 1 (every request leaves as
+// its own message) and "on" the default batch of up to 8.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -28,7 +29,9 @@ Cycles TreeRevoke(uint32_t children, bool batching) {
   PlatformConfig pc;
   pc.kernels = 13;
   pc.users = children + 1;
-  pc.cap_batching = batching ? 1 : 0;
+  if (!batching) {
+    pc.batch_max_ops = 1;
+  }
   DriverRig rig = MakeDriverRig(pc);
   CapSel root = rig.BuildTree(children);
   return rig.TimedOp([&](std::function<void()> done) {
@@ -40,7 +43,7 @@ Cycles TreeRevoke(uint32_t children, bool batching) {
 }
 
 void AblationBatching() {
-  bench::Header("Ablation (a): revocation message batching (--cap-batching)",
+  bench::Header("Ablation (a): revocation message batching (batch_max_ops 1 vs 8)",
                 "paper §5.2: \"we believe that this can be further improved by the use of "
                 "message batching\"");
   std::printf("%-10s %16s %16s %10s\n", "children", "off [us]", "on [us]", "speedup");
@@ -50,8 +53,8 @@ void AblationBatching() {
     std::printf("%-10u %16.2f %16.2f %9.2fx\n", n, CyclesToMicros(plain),
                 CyclesToMicros(batched), double(plain) / double(batched));
   }
-  bench::Footnote("off sends one REVOKE_REQ per child; on (--cap-batching) folds the ones "
-                  "bound for the same peer kernel into kCapBatch containers of up to 8");
+  bench::Footnote("off sends one REVOKE_REQ per child; on folds the ones bound for the same "
+                  "peer kernel into kCapBatch containers of up to 8");
 }
 
 Cycles LocalExchange(Cycles ddl_decode) {
@@ -153,11 +156,13 @@ struct ChatterRun {
   KernelStats stats;
 };
 
-ChatterRun ObtainStorm(uint32_t kernels, int cap_batching) {
+ChatterRun ObtainStorm(uint32_t kernels, bool batching) {
   PlatformConfig pc;
   pc.kernels = kernels;
   pc.users = 8 * kernels;
-  pc.cap_batching = cap_batching;
+  if (!batching) {
+    pc.batch_max_ops = 1;
+  }
   DriverRig rig = MakeDriverRig(pc);
   CapSel owner_sel = rig.Grant(0);
   int done = 0;
@@ -182,14 +187,14 @@ ChatterRun ObtainStorm(uint32_t kernels, int cap_batching) {
 }
 
 void AblationCapBatching() {
-  bench::Header("Ablation (e): capability-IKC batching (--cap-batching)",
+  bench::Header("Ablation (e): capability-IKC batching (batch_max_ops 1 vs 8)",
                 "paper §5.3.2 / Figure 8: kernels are \"mostly handling capability "
                 "operations\" — coalescing that chatter is the before/after here");
   std::printf("%-10s %12s %12s %9s %9s %9s %8s %10s\n", "kernels", "off [us]", "on [us]",
               "IKC off", "IKC on", "batches", "ops/b", "DDL hit%");
   for (uint32_t kernels : bench::Sweep<uint32_t>({4, 8, 16, 32})) {
-    ChatterRun off = ObtainStorm(kernels, 0);
-    ChatterRun on = ObtainStorm(kernels, 1);
+    ChatterRun off = ObtainStorm(kernels, false);
+    ChatterRun on = ObtainStorm(kernels, true);
     double ops_per_batch = on.stats.ikc_batches_sent == 0
                                ? 0.0
                                : double(on.stats.ikc_batched_ops) /
@@ -201,16 +206,15 @@ void AblationCapBatching() {
                 (unsigned long long)on.stats.ikc_batches_sent, ops_per_batch,
                 probes == 0 ? 0.0 : 100.0 * double(on.stats.ddl_cache_hits) / double(probes));
   }
-  bench::Footnote("off is the committed legacy baseline protocol (bit-identical to "
-                  "bench-results/baseline-legacy); on folds same-peer requests into "
-                  "kCapBatch containers and serves repeat remote-DDL decodes from the "
-                  "epoch-invalidated cache");
+  bench::Footnote("off sends every request as its own message; on folds same-peer requests "
+                  "into kCapBatch containers. Both serve repeat remote-DDL decodes from the "
+                  "epoch-invalidated cache (the hit rate shown is on's)");
 }
 
 void BM_CapBatchingObtainStorm(benchmark::State& state) {
-  int cap_batching = static_cast<int>(state.range(0));
+  bool batching = state.range(0) != 0;
   for (auto _ : state) {
-    ChatterRun run = ObtainStorm(16, cap_batching);
+    ChatterRun run = ObtainStorm(16, batching);
     WorkloadResult out;
     out.Add("ikc_sent", double(run.stats.ikc_sent));
     out.Add("ikc_batches_sent", double(run.stats.ikc_batches_sent));
@@ -218,7 +222,7 @@ void BM_CapBatchingObtainStorm(benchmark::State& state) {
     out.Add("ddl_cache_hits", double(run.stats.ddl_cache_hits));
     bench::Report(state, run.span, out);
   }
-  state.SetLabel(cap_batching != 0 ? "cap-batching=on" : "cap-batching=off");
+  state.SetLabel(batching ? "batch_max_ops=8" : "batch_max_ops=1");
 }
 BENCHMARK(BM_CapBatchingObtainStorm)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1)
     ->Unit(benchmark::kMicrosecond);
@@ -228,7 +232,7 @@ void BM_TreeRevokeBatched(benchmark::State& state) {
   for (auto _ : state) {
     bench::ReportSpan(state, TreeRevoke(96, batched));
   }
-  state.SetLabel(batched ? "cap-batching=on" : "cap-batching=off");
+  state.SetLabel(batched ? "batch_max_ops=8" : "batch_max_ops=1");
 }
 BENCHMARK(BM_TreeRevokeBatched)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1)
     ->Unit(benchmark::kMicrosecond);

@@ -46,6 +46,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -102,12 +103,12 @@ struct KernelStats {
   uint64_t ft_orphan_roots = 0;     // orphaned subtrees revoked at recovery
   uint64_t ft_edges_pruned = 0;     // tree edges into the dead range dropped
   uint64_t ft_ikcs_aborted = 0;     // pending IKCs to a dead kernel unwedged
-  // Cross-kernel chatter optimisation (--cap-batching).
+  // Cross-kernel chatter optimisation (docs/architecture.md §9).
   uint64_t ikc_batches_sent = 0;      // kCapBatch containers put on the wire
   uint64_t ikc_batched_ops = 0;       // requests that rode inside a container
   uint64_t ikc_batch_ops_max = 0;     // largest container (sub-requests)
   uint64_t ikc_batch_mixed_epoch = 0; // containers whose entries straddle an epoch
-  uint64_t ikc_relays_pipelined = 0;  // stale requests forwarded without proxying
+  uint64_t ikc_relays_pipelined = 0;  // stale requests relayed to a live owner
   uint64_t ikc_late_replies = 0;      // direct replies landing after a spurious abort
   uint64_t ddl_cache_hits = 0;        // remote-DDL lookups served by the cache
   uint64_t ddl_cache_misses = 0;      // remote-DDL lookups that paid the full decode
@@ -220,20 +221,12 @@ class Kernel : public Program {
     std::vector<NodeId> kernel_nodes;    // kernel id -> kernel PE
     uint32_t max_inflight = 4;           // M_inflight per peer kernel
     uint32_t service_ask_inflight = 64;  // kernel -> service ask window
-    // Cross-kernel chatter optimisation (--cap-batching, default on):
-    // transport-level coalescing of same-destination capability requests
-    // into kCapBatch containers, pipelined stale-epoch forwarding (the
-    // final owner replies to the origin directly), and the
-    // epoch-invalidated remote-DDL cache. Off reproduces the legacy
-    // modeled results bit for bit. The platform expresses off's coalescing
-    // as batch_max_ops = 1 (a batch of one leaves as the bare request), so
-    // this flag is read in exactly three places, the mode's only real
-    // differences: DdlDecodeCost (the cache), MaybeForwardIkc (proxy leg
-    // instead of relay) and OnIkc (an unknown reply token is fatal).
-    bool cap_batching = true;
-    // Flush window: an open per-peer batch flushes when this many cycles
-    // elapsed since it opened, or when it holds batch_max_ops requests,
-    // or when a non-batchable message must go to the same peer (FIFO).
+    // Same-peer IKC batching: batchable capability requests to one peer
+    // coalesce into kCapBatch containers. An open per-peer batch flushes
+    // when this many cycles elapsed since it opened, or when it holds
+    // batch_max_ops requests, or when a non-batchable message must go to
+    // the same peer (FIFO). batch_max_ops = 1 is the unbatched protocol: a
+    // batch of one leaves as the bare request the moment it is enqueued.
     Cycles batch_window = 200;
     uint32_t batch_max_ops = 8;
     // Fault tolerance (src/ft). `ft` only stores the detector parameters;
@@ -447,10 +440,10 @@ class Kernel : public Program {
 
   // IKC request awaiting its reply. Carries the addressed peer so a failure
   // recovery can complete every call wedged on a dead kernel. When the
-  // request was relayed onward by a stale-epoch forwarder (--cap-batching),
-  // kRelayNotice re-keys `peer` to the hop's destination; `relay_hops`
-  // orders those re-keys (notices from different forwarders are not FIFO
-  // relative to each other — the latest hop must win).
+  // request was relayed onward by a stale-epoch forwarder, kRelayNotice
+  // re-keys `peer` to the hop's destination; `relay_hops` orders those
+  // re-keys (notices from different forwarders are not FIFO relative to
+  // each other — the latest hop must win).
   struct PendingIkc {
     uint64_t token = 0;
     KernelId peer = kInvalidKernel;
@@ -466,9 +459,9 @@ class Kernel : public Program {
     uint16_t trace_op = 0;
   };
 
-  // Per-peer-kernel flow control state (§4.1) plus the open request batch
-  // (--cap-batching): batchable requests buffer in `batch` until a flush
-  // trigger fires, then leave as one kCapBatch container through `queue`.
+  // Per-peer-kernel flow control state (§4.1) plus the open request batch:
+  // batchable requests buffer in `batch` until a flush trigger fires, then
+  // leave as one kCapBatch container through `queue`.
   struct PeerState {
     uint32_t credits = 0;
     Ring<std::shared_ptr<IkcMsg>> queue;
@@ -634,7 +627,7 @@ class Kernel : public Program {
     });
   }
   void BroadcastHello();
-  // --- Cross-kernel chatter optimisation (--cap-batching) ---
+  // --- Cross-kernel chatter optimisation ---
   // Ops eligible for kCapBatch coalescing: per-capability request traffic.
   // Control messages (hello/shutdown/migrate/epoch/ft) always go solo.
   static bool IsBatchableOp(IkcOp op);
@@ -662,8 +655,8 @@ class Kernel : public Program {
   // the full t_.ikc_send (always, at batch_max_ops = 1: no batch stays open).
   Cycles IkcSendCost(KernelId peer, IkcOp op) const;
   // Modeled cost of decoding `key`: remote keys probe the epoch-validated
-  // DDL cache (hit: t_.ddl_cache_hit); local keys and cap_batching=off pay
-  // the full t_.ddl_decode.
+  // DDL cache (hit: t_.ddl_cache_hit); local keys pay the full
+  // t_.ddl_decode.
   Cycles DdlDecodeCost(DdlKey key);
   // Same, for paths that route by a peer VPE rather than a concrete key:
   // probes with the partition's canonical VPE key.
@@ -758,6 +751,14 @@ class Kernel : public Program {
   PooledHashMap<uint64_t, ParkedDelegate> parked_delegates_;
   PooledHashMap<uint64_t, PendingAsk> asks_;
   PooledHashMap<uint64_t, PendingIkc> ikcs_;
+  // Tokens of pending IKCs completed with kUnreachable while their request
+  // may still have been in flight: a failover abort (AbortPendingIkcsTo) or
+  // a relay re-keyed onto a dead kernel (ApplyRelayNotice). A reply whose
+  // token is no longer pending must consume one of these; any other unknown
+  // token is a protocol bug (OnIkc). An abort also records requests that
+  // were still queued here; no reply can match those, so they only cost an
+  // entry.
+  std::unordered_set<uint64_t> aborted_ikcs_;
   PooledHashMap<uint64_t, RevokeTask> revoke_tasks_;
   std::map<uint64_t, std::unique_ptr<MigrateTask>> migrate_tasks_;
   // PEs this kernel handed off, with their new owner. Syscalls from a
@@ -769,7 +770,7 @@ class Kernel : public Program {
   // Indexed by kernel id (the self entry is unused) — SendIkc/DispatchIkc
   // touch this on every kernel-to-kernel message.
   std::vector<PeerState> peers_;
-  // Epoch-invalidated cache of hot remote-DDL lookups (--cap-batching).
+  // Epoch-invalidated cache of hot remote-DDL lookups.
   DdlCache ddl_cache_;
   std::map<std::string, std::vector<ServiceEntry>> services_;
 

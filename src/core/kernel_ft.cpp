@@ -429,6 +429,7 @@ void Kernel::AbortPendingIkcsTo(KernelId dead) {
     }
     PendingIkc pending = std::move(it->second);
     ikcs_.erase(it);
+    aborted_ikcs_.insert(token);
     stats_.ft_ikcs_aborted++;
     IkcReply reply;
     reply.token = token;

@@ -1,5 +1,5 @@
 // IKC engine (paper §4.1): flow-controlled kernel-to-kernel messaging,
-// cap-batching containers, and request dispatch. The Kernel class
+// kCapBatch containers, and request dispatch. The Kernel class
 // overview is in kernel.h.
 #include "core/kernel.h"
 
@@ -189,7 +189,7 @@ Cycles Kernel::IkcSendCost(KernelId peer, IkcOp op) const {
 }
 
 Cycles Kernel::DdlDecodeCost(DdlKey key) {
-  if (!config_.cap_batching || key.IsNull() || KernelOf(key) == config_.id) {
+  if (key.IsNull() || KernelOf(key) == config_.id) {
     return t_.ddl_decode;
   }
   if (ddl_cache_.Lookup(key, config_.membership.Epoch())) {
@@ -256,12 +256,12 @@ void Kernel::OnIkc(EpId ep, const Message& msg) {
     CHECK(reply != nullptr);
     auto it = ikcs_.find(reply->token);
     if (it == ikcs_.end()) {
-      // Pipelined relays (--cap-batching) make this reachable: a pending
-      // re-keyed onto a kernel that then failed was aborted with
-      // kUnreachable, yet the request had in fact been dispatched before
-      // the crash and its direct reply lands here afterwards. Without
-      // relays an unknown token is a protocol bug — keep that loud.
-      CHECK(config_.cap_batching) << "IKC reply for unknown token";
+      // Only an aborted call can be answered late: recovery completed it
+      // with kUnreachable, yet the request was in fact dispatched (or
+      // short-circuited by a relaying forwarder) and its reply lands here
+      // afterwards. Any other unknown token is a protocol bug.
+      CHECK(aborted_ikcs_.erase(reply->token) == 1)
+          << "IKC reply for unknown token " << reply->token;
       stats_.ikc_late_replies++;
       return;
     }
@@ -497,12 +497,11 @@ void Kernel::DispatchIkcRequest(EpId ep, const Message& msg, const IkcMsg& reque
       break;
     }
     case IkcOp::kCapBatch: {
-      // Container (--cap-batching): one wire message, one credit, one
-      // dispatch — then every sub-request routes individually. Per-op
-      // routing is load-bearing: a batch racing an epoch update may mix
-      // entries enqueued under different epochs, and settle-round
-      // forwarding must apply to exactly the stale ones, never to the
-      // whole container.
+      // Container: one wire message, one credit, one dispatch — then every
+      // sub-request routes individually. Per-op routing is load-bearing: a
+      // batch racing an epoch update may mix entries enqueued under
+      // different epochs, and settle-round forwarding must apply to
+      // exactly the stale ones, never to the whole container.
       Charge(t_.ikc_dispatch);
       uint64_t first_epoch = req->batch.empty() ? 0 : req->batch.front()->batch_epoch;
       for (const std::shared_ptr<IkcMsg>& sub : req->batch) {

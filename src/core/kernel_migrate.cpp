@@ -74,27 +74,12 @@ bool Kernel::MaybeForwardIkc(EpId ep, const Message& msg, const IkcMsg& req) {
   }
   // The sender's membership view is one epoch behind: the request must
   // reach the partition's current owner, so stale lookups stay correct for
-  // the settle round.
-  stats_.ikc_forwarded++;
-  if (!config_.cap_batching) {
-    // Legacy proxy: forward with a fresh token and relay the reply back
-    // hop by hop.
-    auto fwd = NewMsg<IkcMsg>(req);
-    fwd->token = 0;  // fresh token for the forward leg
-    uint64_t orig_token = req.token;
-    Charge(t_.ddl_decode + t_.ikc_send);
-    SendIkc(owner, fwd, [this, ep, msg, orig_token](const IkcReply& r) {
-      auto reply = NewMsg<IkcReply>(r);
-      reply->token = orig_token;
-      EmitIkcReply(Charge(t_.ikc_send), ep, msg, std::move(reply));
-    });
-    return true;
-  }
-  // Pipelined ancestry walk (--cap-batching): relay the request onward with
-  // the origin's token and reply address intact — the final owner answers
-  // the origin directly, cutting one NoC round trip per stale hop. A
+  // the settle round. Pipelined ancestry walk: relay the request onward
+  // with the origin's token and reply address intact — the final owner
+  // answers the origin directly, cutting one reply hop per stale hop. A
   // fire-and-forget kRelayNotice tells the origin where its request went,
   // so fault tolerance still covers the re-keyed hop.
+  stats_.ikc_forwarded++;
   if (peer_failed_.at(owner) != 0) {
     // The current owner is quorum-confirmed dead: short-circuit with the
     // same kUnreachable a recovery abort at the origin would produce.
@@ -164,6 +149,7 @@ void Kernel::ApplyRelayNotice(const IkcMsg& notice) {
     auto cb = std::move(pending.cb);
     uint64_t token = notice.relay_token;
     ikcs_.erase(it);
+    aborted_ikcs_.insert(token);
     stats_.ft_ikcs_aborted++;
     IkcReply reply;
     reply.token = token;

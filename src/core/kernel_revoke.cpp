@@ -67,7 +67,7 @@ Cycles Kernel::MarkPass(Capability* cap, RevokeTask* task) {
 
 Cycles Kernel::FlushRevokeRequests(RevokeTask* task) {
   // "the kernel managing the root capability sends out one message for each
-  // child capability" (paper §5.2). With --cap-batching on, the IKC layer
+  // child capability" (paper §5.2). Unless batch_max_ops = 1, the IKC layer
   // coalesces the requests bound for one peer into kCapBatch containers.
   Cycles cost = 0;
   uint64_t id = task->id;

@@ -10,9 +10,9 @@ DriverRig MakeDriverRig(uint32_t kernels, uint32_t users, KernelMode mode) {
   pc.timing = TimingModel::For(mode);
   // The simple rig is the paper-calibration fixture: Table 3 / Figures 4-5
   // pin single-operation latencies of the *unbatched* protocol, and the
-  // flush-window delay of --cap-batching would shift them. Rigs that want
-  // batching set PlatformConfig::cap_batching through the full overload.
-  pc.cap_batching = 0;
+  // batch flush window would shift them. Rigs that want batching set
+  // PlatformConfig::batch_max_ops through the full overload.
+  pc.batch_max_ops = 1;
   return MakeDriverRig(pc);
 }
 

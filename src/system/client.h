@@ -79,13 +79,13 @@ struct DriverRig {
   CapSel BuildTree(uint32_t children);
 };
 
-// Calibration rig: runs the unbatched legacy IKC protocol (cap_batching
-// off), because its users pin the paper's single-operation latencies.
+// Calibration rig: runs the unbatched IKC protocol (batch_max_ops = 1),
+// because its users pin the paper's single-operation latencies.
 DriverRig MakeDriverRig(uint32_t kernels, uint32_t users,
                         KernelMode mode = KernelMode::kSemperOSMulti);
 
 // Full-control variant: `pc.users` clients on a custom platform config
-// (flow-control window, timing model, cap batching, ...).
+// (flow-control window, timing model, IKC batching, ...).
 DriverRig MakeDriverRig(PlatformConfig pc);
 
 }  // namespace semperos

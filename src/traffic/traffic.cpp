@@ -157,7 +157,6 @@ TrafficResult RunTraffic(const TrafficConfig& config) {
   pc.mem_tiles = 1;
   pc.timing = timing;
   pc.threads = config.threads;
-  pc.cap_batching = config.cap_batching;
   pc.trace = config.trace;
   pc.timeline = config.timeline;
   Platform platform(pc);

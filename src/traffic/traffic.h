@@ -106,7 +106,6 @@ struct TrafficConfig {
   uint64_t seed = 1;
   uint32_t pipeline = 8;          // per-generator transport credits
   uint32_t threads = 1;           // engine threads (PlatformConfig::threads)
-  int cap_batching = -1;          // tri-state ablation knob (PlatformConfig::cap_batching)
   // Observability (src/obs): span tracing + counter timeline, forwarded to
   // PlatformConfig. With tracing on, every request gets a root span, the
   // measured tail is retained as exemplars, and the merged-span fingerprint

@@ -88,10 +88,8 @@ WorkloadResult RunAppDriver(const std::string& app, const WorkloadParams& p) {
     config.kernels = 1;  // the M3 baseline is a single-kernel system
   }
   config.threads = p.Threads();
-  config.cap_batching = p.CapBatching();
   ApplyObsParams(p, &config);
-  double solo =
-      SoloRuntimeUs(app, config.kernels, config.services, config.mode, config.cap_batching);
+  double solo = SoloRuntimeUs(app, config.kernels, config.services, config.mode);
   AppRunResult r = RunApp(config);
 
   WorkloadResult out;
@@ -149,7 +147,6 @@ void RegisterNginx() {
     config.services = p.U32("services");
     config.servers = p.U32("servers");
     config.threads = p.Threads();
-    config.cap_batching = p.CapBatching();
     ApplyObsParams(p, &config);
     NginxRunResult r = RunNginx(config);
     WorkloadResult out;
@@ -243,7 +240,6 @@ void RegisterFailover() {
     config.kernels = p.U32("kernels");
     config.users_per_kernel = std::max(1u, p.U32("instances") / std::max(1u, config.kernels));
     config.threads = p.Threads();
-    config.cap_batching = p.CapBatching();
     const std::string& fk = p.Str("fail-kernel");
     size_t at = fk.find('@');
     config.victim = static_cast<KernelId>(std::stoul(fk.substr(0, at)));
@@ -323,7 +319,6 @@ void RegisterRebalance() {
     config.migrate_pes = p.U32("migrate-pes");
     config.migrate_at = p.U64("migrate-at");
     config.threads = p.Threads();
-    config.cap_batching = p.CapBatching();
     RebalanceResult r = RunRebalance(config);
     WorkloadResult out;
     out.Note(Fmt("rebalance: %u kernels x %u clients, %u PEs migrated at %llu cycles",
@@ -389,7 +384,6 @@ void RegisterTrace() {
     pc.services = p.U32("services");
     pc.users = 1;
     pc.threads = p.Threads();
-    pc.cap_batching = p.CapBatching();
     Platform platform(pc);
     uint32_t index = 0;
     for (NodeId node : platform.service_nodes()) {
@@ -555,7 +549,6 @@ TrafficConfig TrafficConfigFrom(const WorkloadParams& p) {
   config.seed = p.U64("seed");
   config.pipeline = p.U32("pipeline");
   config.threads = p.Threads();
-  config.cap_batching = p.CapBatching();
   ApplyObsParams(p, &config);
   config.tail_exemplars = p.U32("tail-exemplars");
   return config;

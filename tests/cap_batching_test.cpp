@@ -1,11 +1,12 @@
 // Capability-IKC batching, pipelined ancestry walks, and the remote-DDL
-// cache (the --cap-batching ablation, docs/architecture.md §9).
+// cache (docs/architecture.md §9).
 //
-// Both modes must produce the *same capability forest* — batching may only
-// change message counts and latency. The equivalence tests here run one
-// scenario under cap_batching 0 and 1 and require bit-identical DumpCaps()
-// output on every kernel; the mixed-epoch test pins the settle-round rule
-// that forwarding applies per sub-request, never to a whole container.
+// Batching may only change message counts and latency, never the
+// *capability forest*. The equivalence tests here run one scenario at
+// batch_max_ops 1 (unbatched) and 8 (the default) and require bit-identical
+// DumpCaps() output on every kernel; the mixed-epoch test pins the
+// settle-round rule that forwarding applies per sub-request, never to a
+// whole container.
 // Revocation under batching is covered by tests/batching_test.cpp.
 #include <gtest/gtest.h>
 
@@ -37,15 +38,15 @@ Outcome Snapshot(DriverRig& rig, uint32_t kernels) {
 }
 
 // Four clients of kernel 1 obtain the same kernel-0 capability almost
-// simultaneously: with batching on, their OBTAIN_REQs (and the acks flowing
-// back) coalesce into kCapBatch containers; off, each rides its own
-// message. Requests are staggered by 50 cycles — well inside the widened
+// simultaneously: batched, their OBTAIN_REQs (and the acks flowing back)
+// coalesce into kCapBatch containers; at batch_max_ops 1, each rides its
+// own message. Requests are staggered by 50 cycles — well inside the widened
 // flush window — so the container deterministically carries several ops.
-Outcome RunConcurrentObtains(int cap_batching) {
+Outcome RunConcurrentObtains(uint32_t batch_max_ops) {
   PlatformConfig pc;
   pc.kernels = 2;
   pc.users = 8;
-  pc.cap_batching = cap_batching;
+  pc.batch_max_ops = batch_max_ops;
   pc.batch_window = 2'000;
   DriverRig rig = MakeDriverRig(pc);
 
@@ -77,8 +78,8 @@ Outcome RunConcurrentObtains(int cap_batching) {
 }
 
 TEST(CapBatchingEquivalence, ConcurrentObtainsSameEndState) {
-  Outcome off = RunConcurrentObtains(0);
-  Outcome on = RunConcurrentObtains(1);
+  Outcome off = RunConcurrentObtains(1);
+  Outcome on = RunConcurrentObtains(8);
 
   ASSERT_EQ(off.dumps.size(), on.dumps.size());
   for (size_t k = 0; k < off.dumps.size(); ++k) {
@@ -99,14 +100,14 @@ TEST(CapBatchingEquivalence, ConcurrentObtainsSameEndState) {
 
 // A cross-kernel tree whose owner migrates mid-workload while other clients
 // keep obtaining from the moving root (the settle-round scenario of
-// tests/migration_test.cpp), then a full revocation. Both modes must
-// converge to the same forest; on the batched path the stale-epoch obtains
-// must travel as pipelined relays instead of store-and-forward proxying.
-Outcome RunMigrationStorm(int cap_batching) {
+// tests/migration_test.cpp), then a full revocation. Both batch sizes must
+// converge to the same forest, and both relay the stale-epoch obtains as
+// pipelined walks.
+Outcome RunMigrationStorm(uint32_t batch_max_ops) {
   PlatformConfig pc;
   pc.kernels = 3;
   pc.users = 6;
-  pc.cap_batching = cap_batching;
+  pc.batch_max_ops = batch_max_ops;
   DriverRig rig = MakeDriverRig(pc);
 
   // Client indices per kernel (groups are laid out contiguously).
@@ -177,8 +178,8 @@ Outcome RunMigrationStorm(int cap_batching) {
 }
 
 TEST(CapBatchingEquivalence, MigrationStormSameEndState) {
-  Outcome off = RunMigrationStorm(0);
-  Outcome on = RunMigrationStorm(1);
+  Outcome off = RunMigrationStorm(1);
+  Outcome on = RunMigrationStorm(8);
 
   ASSERT_EQ(off.dumps.size(), on.dumps.size());
   for (size_t k = 0; k < off.dumps.size(); ++k) {
@@ -189,14 +190,13 @@ TEST(CapBatchingEquivalence, MigrationStormSameEndState) {
   EXPECT_EQ(off.drops, 0u);
   EXPECT_EQ(on.drops, 0u);
 
-  // Both modes forward the stale-epoch obtains; only the batched path may
-  // relay them (proxying is the legacy behaviour, relaying the new one).
+  // Relays and the remote-DDL cache do not depend on the batch size: both
+  // arms relay the stale-epoch obtains and probe the cache.
   EXPECT_GE(off.stats.ikc_forwarded, 1u);
   EXPECT_GE(on.stats.ikc_forwarded, 1u);
-  EXPECT_EQ(off.stats.ikc_relays_pipelined, 0u);
+  EXPECT_GE(off.stats.ikc_relays_pipelined, 1u);
   EXPECT_GE(on.stats.ikc_relays_pipelined, 1u);
-  // The remote-DDL cache only exists on the batched path.
-  EXPECT_EQ(off.stats.ddl_cache_hits + off.stats.ddl_cache_misses, 0u);
+  EXPECT_GE(off.stats.ddl_cache_misses, 1u);
   EXPECT_GE(on.stats.ddl_cache_misses, 1u);
 }
 
@@ -211,7 +211,6 @@ TEST(CapBatching, MixedEpochBatchIsRoutedPerOp) {
   PlatformConfig pc;
   pc.kernels = 3;
   pc.users = 6;
-  pc.cap_batching = 1;
   // Keep the kernel-0 -> kernel-2 batch open across the whole migration.
   pc.batch_window = 200'000;
   DriverRig rig = MakeDriverRig(pc);

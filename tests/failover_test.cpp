@@ -5,9 +5,11 @@
 // forward, and double-failure rejection without quorum.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "audit/cap_audit.h"
+#include "dtu/msg_pool.h"
 #include "ft/ft.h"
 #include "system/client.h"
 #include "system/experiment.h"
@@ -196,13 +198,12 @@ TEST(FailoverTest, TwoKernelSystemRefusesRecovery) {
 
 TEST(FailoverTest, RecoveryInvalidatesRemoteDdlCache) {
   // Failover is the other epoch-bump source: the takeover verdict rewrites
-  // the dead kernel's partitions, so every survivor's remote-DDL cache
-  // (--cap-batching) must be dropped even for keys whose partitions did
-  // not change hands — post-recovery lookups have to re-probe.
+  // the dead kernel's partitions, so every survivor's remote-DDL cache must
+  // be dropped even for keys whose partitions did not change hands —
+  // post-recovery lookups have to re-probe.
   PlatformConfig pc;
   pc.kernels = 3;
   pc.users = 3;
-  pc.cap_batching = 1;  // pinned (env-immune): this test is about the cache
   DriverRig rig = MakeDriverRig(pc);
 
   size_t c0 = 0;
@@ -247,6 +248,64 @@ TEST(FailoverTest, RecoveryInvalidatesRemoteDdlCache) {
   obtain();  // same key, post-recovery epoch: must re-probe as a miss
   EXPECT_GT(rig.p().TotalKernelStats().ddl_cache_misses, misses_recovered);
   EXPECT_EQ(rig.p().TotalDrops(), 0u);
+}
+
+// A reply for a token that is no longer pending is legal only for a call
+// recovery aborted while its request may still have been in flight (a
+// relayed request's final owner can answer after the origin gave up on the
+// dead hop). Kernel 1 swallows an OBTAIN_REQ from kernel 0 and then dies;
+// kernel 0's recovery aborts the call. A reply carrying that token, sent
+// from kernel 2 the way a relay's final owner would, counts as late
+// exactly once; a second copy is a protocol bug and must be fatal.
+TEST(FailoverTest, LateReplyOnlyForAbortedCall) {
+  PlatformConfig pc;
+  pc.kernels = 3;
+  pc.users = 3;
+  pc.threads = kForceSerialThreads;  // the death check forks this process
+  DriverRig rig = MakeDriverRig(pc);
+  size_t c0 = 0;
+  while (rig.p().membership().KernelOf(rig.vpe(c0)) != 0) {
+    ++c0;
+  }
+  size_t c1 = 0;
+  while (rig.p().membership().KernelOf(rig.vpe(c1)) != 1) {
+    ++c1;
+  }
+  CapSel root = rig.Grant(c1);
+
+  // Kernel 1's receive endpoint for kernel 0's requests keeps the request
+  // and never answers.
+  std::optional<Message> swallowed;
+  rig.p().pe(rig.p().kernel_node(1))->dtu().ConfigureRecv(
+      Kernel::kEpKernel0 + 0, Dtu::kDefaultSlots,
+      [&swallowed](EpId, const Message& msg) { swallowed = msg; });
+  ErrCode obtain_err = ErrCode::kOk;
+  rig.client(c0).env().Obtain(rig.vpe(c1), root,
+                              [&obtain_err](const SyscallReply& r) { obtain_err = r.err; });
+  FtConfig ft;
+  ft.heartbeat_period = 20'000;
+  ft.heartbeat_timeout = 60'000;
+  ft.monitor_until = rig.p().sim().Now() + 500'000;
+  rig.p().StartFailureDetector(ft);
+  rig.p().KillKernelAt(1, rig.p().sim().Now() + 50'000);
+  rig.p().RunToCompletion();
+  ASSERT_TRUE(rig.p().KernelFailed(1));
+  ASSERT_TRUE(swallowed.has_value());
+  const IkcMsg* req = swallowed->As<IkcMsg>();
+  ASSERT_NE(req, nullptr);
+  EXPECT_EQ(req->op, IkcOp::kObtainReq);
+  EXPECT_EQ(obtain_err, ErrCode::kUnreachable);
+
+  Dtu& witness = rig.p().pe(rig.p().kernel_node(2))->dtu();
+  auto late_reply = [&] {
+    auto reply = NewMsg<IkcReply>();
+    reply->token = req->token;
+    ASSERT_TRUE(witness.SendDeferredReply(*swallowed, std::move(reply)).ok());
+    rig.p().RunToCompletion();
+  };
+  late_reply();
+  EXPECT_EQ(rig.p().kernel(0)->stats().ikc_late_replies, 1u);
+  EXPECT_DEATH(late_reply(), "IKC reply for unknown token");
 }
 
 // --- DDL range takeover edges ---------------------------------------------

@@ -309,14 +309,13 @@ TEST(MigrationTest, RejectsInvalidDestinations) {
 }
 
 TEST(MigrationTest, EpochBumpInvalidatesRemoteDdlCache) {
-  // The remote-DDL cache (--cap-batching) must drop everything when a
+  // The remote-DDL cache must drop everything when a
   // migration bumps the membership epoch: a key cached under the old view
   // could route to the wrong kernel afterwards, so the post-bump lookup
   // has to re-probe even though the key itself did not move.
   PlatformConfig pc;
   pc.kernels = 3;
   pc.users = 6;
-  pc.cap_batching = 1;  // pinned (env-immune): this test is about the cache
   DriverRig rig = MakeDriverRig(pc);
 
   size_t c0 = 0;

@@ -273,7 +273,6 @@ TEST(ObsIntegration, BatchContainersStayParentLinked) {
   PlatformConfig pc;
   pc.kernels = 2;
   pc.users = 8;
-  pc.cap_batching = 1;
   pc.batch_window = 2'000;
   pc.trace.enabled = true;
   DriverRig rig = MakeDriverRig(pc);
@@ -330,7 +329,6 @@ TEST(ObsIntegration, PipelinedRelayHopsStayParentLinked) {
   PlatformConfig pc;
   pc.kernels = 3;
   pc.users = 6;
-  pc.cap_batching = 1;
   pc.trace.enabled = true;
   DriverRig rig = MakeDriverRig(pc);
 

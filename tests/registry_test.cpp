@@ -60,6 +60,8 @@ TEST(Registry, RemovedSelectorFlagsAreRejected) {
                            "--trace=ops.txt"}) {
     EXPECT_FALSE(Parse({flag}).ok) << flag;
   }
+  // The IKC protocol has one mode: the old --cap-batching global is unknown.
+  EXPECT_FALSE(Parse({"tar", "--cap-batching=off"}).ok);
   // --fail-kernel is a failover param, not an implicit selector.
   EXPECT_FALSE(Parse({"--fail-kernel=2@1500"}).ok);
   WorkloadInvocation inv = Parse({"failover", "--fail-kernel=2@1500"});
