@@ -55,12 +55,10 @@ void Invalid() {
   rig.p().RunToCompletion();
   const VpeState* receiver = rig.kernel_of_client(1)->FindVpe(rig.vpe(1));
   size_t mem_caps = 0;
-  receiver->table.ForEach([&](CapSel rsel, DdlKey key) {
-    Capability* cap = rig.kernel_of_client(1)->FindCap(key);
-    if (cap != nullptr && cap->type() == CapType::kMem) {
+  receiver->table.ForEach([&](CapSel, const Capability* cap) {
+    if (cap->type() == CapType::kMem) {
       mem_caps++;
     }
-    (void)rsel;
   });
   std::printf("receiver's untracked memory capabilities after the delegator died: %zu\n",
               mem_caps);

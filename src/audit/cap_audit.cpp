@@ -74,12 +74,12 @@ class Auditor {
                   std::to_string(vpe.table.size()) + " capabilities");
         }
       }
-      vpe.table.ForEach([&](CapSel sel, DdlKey key) {
-        Capability* cap = kernel->FindCap(key);
-        if (cap == nullptr) {
+      vpe.table.ForEach([&](CapSel sel, const Capability* cap) {
+        DdlKey key = cap->key();
+        if (kernel->FindCap(key) != cap) {
           Add("I1", k, key,
               "VPE " + std::to_string(vpe.id) + " sel " + std::to_string(sel) +
-                  " points at no capability");
+                  " points at a capability the capability space does not hold");
         } else if (cap->holder() != vpe.id || cap->sel() != sel) {
           Add("I1", k, key,
               "VPE " + std::to_string(vpe.id) + " sel " + std::to_string(sel) +
@@ -93,20 +93,19 @@ class Auditor {
   // I1 (holder side), I2, I3, I4 over this kernel's capability space.
   void AuditForest(Kernel* kernel) {
     KernelId k = kernel->id();
-    // unordered_map iteration order is not deterministic; sort so reports
-    // from bit-identical platforms are identical.
-    std::vector<DdlKey> keys;
-    keys.reserve(kernel->caps().size());
-    for (const auto& [key, cap] : kernel->caps().all()) {
-      keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end(),
-              [](DdlKey a, DdlKey b) { return a.raw() < b.raw(); });
+    // CapSpace iterates in table-layout order; sort so reports follow the
+    // keys alone.
+    std::vector<Capability*> caps;
+    caps.reserve(kernel->caps().size());
+    kernel->caps().ForEach([&caps](Capability* cap) { caps.push_back(cap); });
+    std::sort(caps.begin(), caps.end(), [](const Capability* a, const Capability* b) {
+      return a->key().raw() < b->key().raw();
+    });
 
-    for (DdlKey key : keys) {
-      Capability* cap = kernel->FindCap(key);
+    for (Capability* cap : caps) {
+      DdlKey key = cap->key();
       report_.caps_checked++;
-      if (cap->key() != key) {
+      if (kernel->FindCap(key) != cap) {
         Add("I1", k, key, "capability stored under a foreign DDL key");
         continue;
       }
@@ -120,7 +119,7 @@ class Auditor {
           Add("I1", k, key,
               "capability held by dead VPE " + std::to_string(cap->holder()));
         }
-        if (holder->table.Find(cap->sel()) != key) {
+        if (holder->table.Find(cap->sel()) != cap) {
           Add("I1", k, key,
               "holder table does not point back (sel " + std::to_string(cap->sel()) + ")");
         }

@@ -105,6 +105,26 @@ using PoolAllocator = std::allocator<T>;
 
 #endif  // SEMPEROS_DISABLE_POOLS
 
+// Single objects from T's pool, owned by a unique_ptr that returns the block
+// there: PoolNew<T>(args...) is make_unique for pooled types.
+template <typename T>
+struct PoolDelete {
+  void operator()(T* p) const {
+    p->~T();
+    PoolAllocator<T>().deallocate(p, 1);
+  }
+};
+
+template <typename T>
+using PoolPtr = std::unique_ptr<T, PoolDelete<T>>;
+
+template <typename T, typename... Args>
+PoolPtr<T> PoolNew(Args&&... args) {
+  T* p = PoolAllocator<T>().allocate(1);
+  ::new (static_cast<void*>(p)) T(std::forward<Args>(args)...);
+  return PoolPtr<T>(p);
+}
+
 // Ordered and hashed maps whose nodes come from PoolAllocator.
 template <typename K, typename V, typename Less = std::less<K>>
 using PooledMap = std::map<K, V, Less, PoolAllocator<std::pair<const K, V>>>;

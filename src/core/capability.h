@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/log.h"
@@ -129,18 +128,20 @@ class Capability {
   EpId activated_ep_ = 0;
 };
 
-// Selector -> capability key. Selectors are allocated sequentially per VPE
-// (VpeState::AllocSel), so the table is a dense vector indexed by selector —
-// a capability lookup is one bounds check and one load, where the previous
-// std::map paid a pointer chase per tree level on every syscall. Empty slots
-// (never used, or revoked) hold the null DdlKey.
+// Selector -> capability. Selectors are allocated sequentially per VPE
+// (VpeState::AllocSel) and never reused, so the table is a dense vector
+// indexed by selector, and a lookup is one bounds check and one load. A
+// slot holds only the pointer (the key is cap->key()): long-lived VPEs keep
+// every selector they ever used. Empty slots (never used, or revoked) are
+// null. The pointee is owned by the kernel's CapSpace; whoever erases a
+// capability there also clears its holder's slot, or drops the holder.
 class CapTable {
  public:
-  // Key at `sel`, or the null key if the slot is empty/out of range.
-  DdlKey Find(CapSel sel) const { return sel < slots_.size() ? slots_[sel] : DdlKey(); }
+  // Capability at `sel`, or nullptr if the slot is empty/out of range.
+  Capability* Find(CapSel sel) const { return sel < slots_.size() ? slots_[sel] : nullptr; }
 
-  void Set(CapSel sel, DdlKey key) {
-    CHECK(!key.IsNull());
+  void Set(CapSel sel, Capability* cap) {
+    CHECK(cap != nullptr);
     if (sel >= slots_.size()) {
       // Selectors arrive sequentially; grow geometrically (resize alone
       // reallocates to the exact size, which would be quadratic here).
@@ -148,17 +149,17 @@ class CapTable {
         slots_.reserve(std::max({size_t{8}, 2 * slots_.capacity(),
                                  static_cast<size_t>(sel) + 1}));
       }
-      slots_.resize(static_cast<size_t>(sel) + 1);
+      slots_.resize(static_cast<size_t>(sel) + 1, nullptr);
     }
-    if (slots_[sel].IsNull()) {
+    if (slots_[sel] == nullptr) {
       ++live_;
     }
-    slots_[sel] = key;
+    slots_[sel] = cap;
   }
 
   void Erase(CapSel sel) {
-    if (sel < slots_.size() && !slots_[sel].IsNull()) {
-      slots_[sel] = DdlKey();
+    if (sel < slots_.size() && slots_[sel] != nullptr) {
+      slots_[sel] = nullptr;
       --live_;
     }
   }
@@ -169,29 +170,29 @@ class CapTable {
   // Highest live selector, or kInvalidSel if the table is empty.
   CapSel LastSel() const {
     for (size_t i = slots_.size(); i > 0; --i) {
-      if (!slots_[i - 1].IsNull()) {
+      if (slots_[i - 1] != nullptr) {
         return static_cast<CapSel>(i - 1);
       }
     }
     return kInvalidSel;
   }
 
-  // Invokes fn(sel, key) for every live entry, in ascending selector order.
+  // Invokes fn(sel, cap) for every live entry, in ascending selector order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (CapSel sel = 0; sel < slots_.size(); ++sel) {
-      if (!slots_[sel].IsNull()) {
+      if (slots_[sel] != nullptr) {
         fn(sel, slots_[sel]);
       }
     }
   }
 
-  // True if fn(sel, key) returns true for any live entry; stops at the
+  // True if fn(sel, cap) returns true for any live entry; stops at the
   // first hit (migration quiesce polls this repeatedly on large tables).
   template <typename Fn>
   bool Any(Fn&& fn) const {
     for (CapSel sel = 0; sel < slots_.size(); ++sel) {
-      if (!slots_[sel].IsNull() && fn(sel, slots_[sel])) {
+      if (slots_[sel] != nullptr && fn(sel, slots_[sel])) {
         return true;
       }
     }
@@ -199,7 +200,7 @@ class CapTable {
   }
 
  private:
-  std::vector<DdlKey> slots_;
+  std::vector<Capability*> slots_;
   uint32_t live_ = 0;
 };
 
@@ -215,7 +216,7 @@ struct VpeState {
   bool migrating = false;
   CapSel next_sel = 1;
   // The capabilities themselves live in the kernel's CapSpace so they can
-  // also be found by DDL key.
+  // also be found by DDL key; the table points into it.
   CapTable table;
 
   CapSel AllocSel() { return next_sel++; }
@@ -282,35 +283,115 @@ class VpeTable {
   uint32_t live_ = 0;
 };
 
-// Per-kernel capability storage, indexed by DDL key. Capabilities live by
-// value in pooled hash nodes: a node never moves, so a Capability* stays
-// valid until the capability is erased.
+// Per-kernel capability storage, indexed by DDL key: one flat
+// open-addressing table of (raw key, Capability*) slots. The key's fields
+// cannot give a dense index (the object id is a kernel-wide counter), so
+// the table hashes the raw key multiplicatively into a power-of-two slot
+// array kept at most half full, probes linearly, and deletes by backward
+// shift, which leaves no tombstones: a lookup is one multiply, one shift
+// and (almost always) one or two adjacent slot loads.
+//
+// Each Capability lives in its own PoolAllocator block and never moves
+// until Erase, so a Capability* (held by CapTable slots, revocation
+// walks, ...) stays valid across table growth. With
+// -DSEMPEROS_DISABLE_POOLS=ON the blocks are plain heap objects, so ASan
+// reports any stale pointer left behind.
 class CapSpace {
  public:
-  using Map = PooledHashMap<DdlKey, Capability>;
+  CapSpace() : slots_(kMinSlots), shift_(64 - kMinSlotsLog2) {}
+  ~CapSpace() {
+    for (const Slot& slot : slots_) {
+      if (slot.cap != nullptr) {
+        PoolDelete<Capability>()(slot.cap);
+      }
+    }
+  }
+  CapSpace(const CapSpace&) = delete;
+  CapSpace& operator=(const CapSpace&) = delete;
 
   Capability* Create(DdlKey key, CapType type, VpeId holder, CapSel sel) {
-    auto [it, inserted] = caps_.try_emplace(key, key, type, holder, sel);
-    CHECK(inserted) << "duplicate DDL key";
-    return &it->second;
+    CHECK(!key.IsNull()) << "null DDL key";
+    if (2 * (size_ + 1) > slots_.size()) {
+      Grow();
+    }
+    size_t i = Probe(key.raw());
+    CHECK(slots_[i].cap == nullptr) << "duplicate DDL key " << key.raw();
+    Capability* cap = PoolNew<Capability>(key, type, holder, sel).release();
+    slots_[i] = Slot{key.raw(), cap};
+    ++size_;
+    return cap;
   }
 
-  Capability* Find(DdlKey key) const {
-    auto it = caps_.find(key);
-    return it == caps_.end() ? nullptr : const_cast<Capability*>(&it->second);
-  }
+  Capability* Find(DdlKey key) const { return slots_[Probe(key.raw())].cap; }
 
   void Erase(DdlKey key) {
-    size_t n = caps_.erase(key);
-    CHECK_EQ(n, size_t{1});
+    size_t hole = Probe(key.raw());
+    CHECK(slots_[hole].cap != nullptr) << "erase of unknown DDL key " << key.raw();
+    PoolDelete<Capability>()(slots_[hole].cap);
+    --size_;
+    // Backward shift: pull each later entry of the probe run into the hole
+    // unless that would move it before its home slot.
+    size_t mask = slots_.size() - 1;
+    for (size_t j = (hole + 1) & mask; slots_[j].cap != nullptr; j = (j + 1) & mask) {
+      size_t home = Home(slots_[j].raw);
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole] = Slot{};
   }
 
-  size_t size() const { return caps_.size(); }
+  size_t size() const { return size_; }
 
-  const Map& all() const { return caps_; }
+  // Invokes fn(Capability*) for every capability, in unspecified order:
+  // callers whose results must not depend on the table's layout sort.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const Slot& slot : slots_) {
+      if (slot.cap != nullptr) {
+        fn(slot.cap);
+      }
+    }
+  }
 
  private:
-  Map caps_;
+  struct Slot {
+    uint64_t raw = 0;  // DdlKey::raw(); 0 (the null key) marks an empty slot
+    Capability* cap = nullptr;
+  };
+  static constexpr int kMinSlotsLog2 = 4;
+  static constexpr size_t kMinSlots = size_t{1} << kMinSlotsLog2;
+
+  // Fibonacci hashing: the top bits of raw * 2^64/phi.
+  size_t Home(uint64_t raw) const {
+    return static_cast<size_t>((raw * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+
+  // Slot holding `raw`, or the empty slot ending its probe run.
+  size_t Probe(uint64_t raw) const {
+    size_t mask = slots_.size() - 1;
+    size_t i = Home(raw);
+    while (slots_[i].cap != nullptr && slots_[i].raw != raw) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  void Grow() {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    --shift_;
+    for (const Slot& slot : old) {
+      if (slot.cap != nullptr) {
+        slots_[Probe(slot.raw)] = slot;
+      }
+    }
+  }
+
+  std::vector<Slot> slots_;
+  int shift_;
+  size_t size_ = 0;
 };
 
 }  // namespace semperos

@@ -182,7 +182,7 @@ void Kernel::Start() {
                     [this](EpId ep, const Message& msg) { OnHeartbeat(ep, msg); });
   for (uint32_t i = 0; i < kNumSyscallEps; ++i) {
     dtu.ConfigureRecv(kEpSyscall0 + i, Dtu::kDefaultSlots,
-                      [this](EpId ep, const Message& msg) { OnSyscall(ep, msg); });
+                      [this](EpId ep, Message&& msg) { OnSyscall(ep, std::move(msg)); });
   }
   for (uint32_t i = 0; i < kNumKernelEps; ++i) {
     dtu.ConfigureRecv(kEpKernel0 + i, Dtu::kDefaultSlots,
@@ -260,13 +260,8 @@ std::string Kernel::DumpCaps() const {
   vpes_.ForEach([&](const VpeState& vpe) {
     os << "  vpe " << vpe.id << (vpe.alive ? "" : " (dead)") << (vpe.is_service ? " (service)" : "")
        << ": " << vpe.table.size() << " caps\n";
-    vpe.table.ForEach([&](CapSel sel, DdlKey key) {
-      const Capability* cap = caps_.Find(key);
-      if (cap == nullptr) {
-        os << "    sel " << sel << ": <missing " << key.raw() << ">\n";
-        return;
-      }
-      os << "    sel " << sel << ": " << CapTypeName(cap->type()) << " key=" << key.raw();
+    vpe.table.ForEach([&](CapSel sel, const Capability* cap) {
+      os << "    sel " << sel << ": " << CapTypeName(cap->type()) << " key=" << cap->key().raw();
       if (!cap->parent().IsNull()) {
         os << " parent@k" << config_.membership.KernelOfKey(cap->parent());
       }
@@ -293,11 +288,7 @@ std::string Kernel::DumpCaps() const {
 
 Capability* Kernel::CapOf(VpeId vpe, CapSel sel) const {
   const VpeState* v = vpes_.Find(vpe);
-  if (v == nullptr) {
-    return nullptr;
-  }
-  DdlKey key = v->table.Find(sel);
-  return key.IsNull() ? nullptr : caps_.Find(key);
+  return v == nullptr ? nullptr : v->table.Find(sel);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,7 +309,7 @@ Capability* Kernel::CreateCap(VpeState* vpe, CapType type, const CapPayload& pay
   cap->payload() = payload;
   cap->payload().type = type;
   cap->set_parent(parent);
-  vpe->table.Set(sel, key);
+  vpe->table.Set(sel, cap);
   stats_.caps_created++;
   return cap;
 }
@@ -364,17 +355,20 @@ void Kernel::UnlinkChildAtParent(DdlKey parent, DdlKey child, bool orphan) {
 // System call entry
 // ---------------------------------------------------------------------------
 
-void Kernel::OnSyscall(EpId ep, const Message& msg) {
+void Kernel::OnSyscall(EpId ep, Message&& msg) {
   const SyscallMsg* req = msg.As<SyscallMsg>();
   CHECK(req != nullptr) << "non-syscall message on syscall EP";
   stats_.syscalls++;
   AcquireThread();
 
+  // From here the context owns the body `req` points into; each handler
+  // below holds the context (or what it was moved into) while it reads req.
+  uint64_t trace_id = req->trace_id;
   SyscallCtx ctx;
   ctx.vpe = req->vpe;
   ctx.recv_ep = ep;
-  ctx.msg = msg;
-  if (obs::Tracer* tr = tracer(); tr != nullptr && msg.body->trace_id != 0) {
+  ctx.msg = std::move(msg);
+  if (obs::Tracer* tr = tracer(); tr != nullptr && trace_id != 0) {
     ctx.trace_span = tr->NextSpanId(pe_->node());
     ctx.trace_start = pe_->sim()->Now();
   }
@@ -404,7 +398,7 @@ void Kernel::OnSyscall(EpId ep, const Message& msg) {
   }
 
   // Messages the handler sends on this call's behalf nest under its span.
-  cur_trace_ = TraceCtx{msg.body->trace_id, ctx.trace_span};
+  cur_trace_ = TraceCtx{trace_id, ctx.trace_span};
   switch (req->op) {
     case SyscallOp::kNoop:
       SysNoop(std::move(ctx), *req);

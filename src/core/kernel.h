@@ -505,7 +505,7 @@ class Kernel : public Program {
   }
 
   // ===== Message handlers =====
-  void OnSyscall(EpId ep, const Message& msg);
+  void OnSyscall(EpId ep, Message&& msg);
   void OnIkc(EpId ep, const Message& msg);
   // The request dispatch half of OnIkc, also re-entered when a request
   // parked during a migration transfer is released.

@@ -113,7 +113,7 @@ void Kernel::FinishObtain(ObtainOp op, ErrCode err, DdlKey parent, const CapPayl
   Capability* cap = caps_.Create(op.child_key, payload.type, op.sc.vpe, sel);
   cap->payload() = payload;
   cap->set_parent(parent);
-  client->table.Set(sel, op.child_key);
+  client->table.Set(sel, cap);
   stats_.caps_created++;
   stats_.obtains++;
 
@@ -465,7 +465,7 @@ void Kernel::ApplyDelegateAck(bool abort, DdlKey child_key, UniqueFn<void(ErrCod
           caps_.Create(parked.child_key, parked.payload.type, parked.receiver, sel);
       cap->payload() = parked.payload;
       cap->set_parent(parked.parent_key);
-      receiver->table.Set(sel, parked.child_key);
+      receiver->table.Set(sel, cap);
       stats_.caps_created++;
       Charge(t_.ikc_reply_handle + t_.tree_insert + t_.ddl_decode);
     } else {

@@ -264,19 +264,19 @@ void Kernel::RecoverFromFailure(KernelId dead, uint64_t epoch) {
   // recovery bit-identical across reruns and standard libraries.
   std::vector<Capability*> pruned;
   std::vector<DdlKey> orphan_roots;
-  for (const auto& [key, cap] : caps_.all()) {
+  caps_.ForEach([&](Capability* cap) {
     cost += t_.ft_scan_per_cap;
-    for (DdlKey child : cap.children()) {
+    for (DdlKey child : cap->children()) {
       if (child.pe() < dead_part.size() && dead_part[child.pe()] != 0) {
-        pruned.push_back(caps_.Find(key));
+        pruned.push_back(cap);
         break;
       }
     }
-    DdlKey parent = cap.parent();
+    DdlKey parent = cap->parent();
     if (!parent.IsNull() && parent.pe() < dead_part.size() && dead_part[parent.pe()] != 0) {
-      orphan_roots.push_back(key);
+      orphan_roots.push_back(cap->key());
     }
-  }
+  });
   std::sort(pruned.begin(), pruned.end(),
             [](const Capability* x, const Capability* y) { return x->key().raw() < y->key().raw(); });
   for (Capability* cap : pruned) {

@@ -189,10 +189,7 @@ bool Kernel::MigrationBlocked(NodeId pe) const {
   }
   const VpeState& vpe = vpes_.At(pe);
   // An in-flight revocation holding part of the subtree blocks the handoff.
-  return vpe.table.Any([&](CapSel, DdlKey key) {
-    const Capability* cap = caps_.Find(key);
-    return cap != nullptr && cap->marked();
-  });
+  return vpe.table.Any([](CapSel, const Capability* cap) { return cap->marked(); });
 }
 
 void Kernel::AdminMigratePe(NodeId pe, KernelId dst, UniqueFn<void(ErrCode)> done) {
@@ -263,12 +260,10 @@ void Kernel::StartMigrateTransfer(uint64_t task_id) {
   payload->next_sel = vpe.next_sel;
   payload->next_obj = next_obj_;
   payload->caps.reserve(vpe.table.size());
-  vpe.table.ForEach([&](CapSel sel, DdlKey key) {
-    Capability* cap = caps_.Find(key);
-    CHECK(cap != nullptr);
+  vpe.table.ForEach([&](CapSel sel, const Capability* cap) {
     CHECK(!cap->marked()) << "quiesce left a marked capability in the partition";
     MigratedCap record;
-    record.key = key;
+    record.key = cap->key();
     record.type = cap->type();
     record.sel = sel;
     record.parent = cap->parent();
@@ -332,7 +327,7 @@ void Kernel::OnMigrateVpe(EpId ep, const Message& msg, const IkcMsg& req) {
     if (record.activated) {
       cap->SetActivated(record.activated_ep);
     }
-    v->table.Set(record.sel, record.key);
+    v->table.Set(record.sel, cap);
   }
   // Keep allocating collision-free object ids in the moved partition.
   next_obj_ = std::max(next_obj_, mp.next_obj);
@@ -378,7 +373,7 @@ void Kernel::FinishMigrateTransfer(uint64_t task_id, const IkcReply& reply) {
   // records moved; the capability tree itself did not change, so no
   // parent/child unlinking happens here.
   VpeState& vpe = vpes_.At(task->pe);
-  vpe.table.ForEach([this](CapSel, DdlKey key) { caps_.Erase(key); });
+  vpe.table.ForEach([this](CapSel, const Capability* cap) { caps_.Erase(cap->key()); });
   vpes_.Erase(task->pe);
   migrated_away_[task->pe] = task->dst;
   ApplyMembershipUpdate(task->pe, task->dst, task->epoch);

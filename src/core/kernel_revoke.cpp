@@ -309,7 +309,7 @@ void Kernel::AdminKillVpe(VpeId vpe, InlineFn done) {
   // Snapshot the selectors: revocations mutate the table.
   std::vector<DdlKey> roots;
   roots.reserve(v->table.size());
-  v->table.ForEach([&roots](CapSel, DdlKey key) { roots.push_back(key); });
+  v->table.ForEach([&roots](CapSel, const Capability* cap) { roots.push_back(cap->key()); });
   Countdown maybe_done(static_cast<uint32_t>(roots.size()) + 1, std::move(done));
   for (DdlKey key : roots) {
     Capability* cap = caps_.Find(key);

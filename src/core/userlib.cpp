@@ -11,7 +11,7 @@ void UserEnv::SetupEps(bool is_service) {
   dtu.ConfigureSend(user_ep::kSyscallSend, kernel_node_, kernel_syscall_ep, /*credits=*/1);
   dtu.ConfigureRecv(user_ep::kSyscallReply, 2,
                     [this](EpId, const Message& msg) { OnSyscallReply(msg); });
-  dtu.ConfigureRecv(user_ep::kAsk, 64, [this](EpId, const Message& msg) { OnAsk(msg); });
+  dtu.ConfigureRecv(user_ep::kAsk, 64, [this](EpId, Message&& msg) { OnAsk(std::move(msg)); });
   dtu.ConfigureRecv(user_ep::kServiceReply, 2,
                     [this](EpId, const Message& msg) { OnServiceReply(msg); });
   if (is_service) {
@@ -21,7 +21,7 @@ void UserEnv::SetupEps(bool is_service) {
     // flight, so one buffer larger than any client count stands in for the
     // per-gate slices.
     dtu.ConfigureRecv(user_ep::kServiceRecv, 4096,
-                      [this](EpId, const Message& msg) { OnRequest(msg); });
+                      [this](EpId, Message&& msg) { OnRequest(std::move(msg)); });
   }
 }
 
@@ -227,9 +227,9 @@ void UserEnv::RegisterService(const std::string& name, SyscallCb cb) {
 // Exchange-asks (serialized with client requests)
 // ---------------------------------------------------------------------------
 
-void UserEnv::OnAsk(const Message& msg) {
+void UserEnv::OnAsk(Message&& msg) {
   CHECK(msg.As<AskMsg>() != nullptr);
-  work_.push_back([this, msg]() mutable {
+  work_.push_back([this, msg = std::move(msg)]() mutable {
     const AskMsg& a = *msg.As<AskMsg>();
     // Syscalls the handler issues nest under the kernel's ask span.
     SetTraceContext(a.trace_id, a.trace_parent);
@@ -295,8 +295,8 @@ void UserEnv::OnServiceReply(const Message& msg) {
   }
 }
 
-void UserEnv::OnRequest(const Message& msg) {
-  work_.push_back([this, msg] {
+void UserEnv::OnRequest(Message&& msg) {
+  work_.push_back([this, msg = std::move(msg)] {
     CHECK(request_handler_) << "service PE " << vpe() << " has no request handler";
     if (msg.body != nullptr) {
       // Syscalls the handler issues nest under the request's trace.

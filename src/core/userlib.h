@@ -111,9 +111,9 @@ class UserEnv {
 
  private:
   void OnSyscallReply(const Message& msg);
-  void OnAsk(const Message& msg);
+  void OnAsk(Message&& msg);
   void OnServiceReply(const Message& msg);
-  void OnRequest(const Message& msg);
+  void OnRequest(Message&& msg);
   void PumpWork();
   void ArmSyscallWatchdog(uint64_t token);
   // Records the open syscall round trip as a kRequest span (no-op when

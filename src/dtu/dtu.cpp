@@ -300,7 +300,7 @@ void Dtu::Deliver(EpId ep, Message msg) {
     if (e.type == EpType::kReceive && e.handler) {
       stats_.msgs_received++;
       RecordTransit(msg);
-      e.handler(ep, msg);
+      e.handler(ep, std::move(msg));
     } else {
       stats_.msgs_dropped++;
       LOG_WARN("dtu") << "node " << node_ << ": reply to unconfigured EP " << ep << " dropped";
@@ -325,7 +325,7 @@ void Dtu::Deliver(EpId ep, Message msg) {
   stats_.msgs_received++;
   RecordTransit(msg);
   CHECK(e.handler) << "recv EP " << ep << " on node " << node_ << " has no handler";
-  e.handler(ep, msg);
+  e.handler(ep, std::move(msg));
 }
 
 void Dtu::StampTrace(Message& msg) const {

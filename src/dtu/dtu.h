@@ -87,7 +87,11 @@ class Dtu {
   // this many cycles after delivery, back on the caller's shard.
   static constexpr Cycles kConfigApplyCycles = 8;
 
-  using MsgHandler = std::function<void(EpId ep, const Message& msg)>;
+  // The handler receives the delivered message by rvalue: a handler that
+  // keeps it (a kernel's syscall context, a queued work item) moves the
+  // body reference instead of copying it. Handlers declared with
+  // (EpId, const Message&) still bind.
+  using MsgHandler = std::function<void(EpId ep, Message&& msg)>;
 
   Dtu(Simulation* sim, DtuFabric* fabric, NodeId node);
 

@@ -58,8 +58,7 @@ void FsService::Start() {
 }
 
 FsService::Session* FsService::SessionOf(uint64_t id) {
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : &it->second;
+  return id < sessions_.size() ? sessions_[id].get() : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -77,7 +76,9 @@ void FsService::OnAsk(const AskMsg& ask, UserEnv::AskReplyFn reply) {
       AskExchange(ask);
       return;
     case AskOp::kCloseSession:
-      sessions_.erase(ask.session);
+      if (ask.session < sessions_.size()) {
+        sessions_[ask.session].reset();
+      }
       AnswerAsk(AskReply());
       return;
     default: {
@@ -95,11 +96,11 @@ void FsService::AnswerAsk(AskReply reply) {
 }
 
 void FsService::AskOpenSession(const AskMsg& ask) {
-  Session& session = sessions_[next_session_];
-  session.id = next_session_++;
+  uint64_t id = sessions_.size();
+  Session& session = *sessions_.emplace_back(PoolNew<Session>());
+  session.id = id;
   session.client = ask.client;
   fs_stats_.sessions++;
-  uint64_t id = session.id;
   env_->Compute(t_.svc_open, [this, id] {
     AskReply r;
     r.err = ErrCode::kOk;

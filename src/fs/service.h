@@ -109,7 +109,11 @@ class FsService : public Program {
   CapSel service_sel_ = kInvalidSel;
   std::unique_ptr<UserEnv> env_;
 
-  PooledMap<uint64_t, Session> sessions_;
+  // Session id -> session. Ids are handed out sequentially per service and
+  // never reused, so the table is dense: SessionOf is one bounds check and
+  // one load. Slot 0 (no session) and closed sessions are null; a Session
+  // sits in its own pooled block, so a Session* stays valid while it lives.
+  std::vector<PoolPtr<Session>> sessions_ = std::vector<PoolPtr<Session>>(1);
   // UserEnv hands the service one ask or request at a time, and a service
   // has at most one syscall outstanding. So the continuations of the
   // operation in progress wait here, one slot each, instead of nesting
@@ -119,7 +123,6 @@ class FsService : public Program {
   SelList revoking_;                               // RevokeHanded's selectors...
   size_t revoke_next_ = 0;                         // ...the next one to revoke...
   InlineFn revoke_done_;                           // ...and what runs after the last
-  uint64_t next_session_ = 1;
   uint64_t next_fid_ = 1;
   FsServiceStats fs_stats_;
 };

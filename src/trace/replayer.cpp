@@ -113,16 +113,17 @@ void TraceReplayer::DoOpen(const TraceOp& op) {
   req->op = FsOp::kOpen;
   req->path = op.path;
   req->flags = op.flags;
-  std::string path = op.path;
-  uint32_t flags = op.flags;
-  env_->Exchange(session_sel_, req, [this, path, flags](const SyscallReply& reply) {
-    CHECK(reply.err == ErrCode::kOk) << "open " << path << " failed: " << ErrName(reply.err);
+  // trace_ outlives the replay and is never modified, so the continuation
+  // reads the op in place instead of copying its path.
+  const TraceOp* top = &op;
+  env_->Exchange(session_sel_, req, [this, top](const SyscallReply& reply) {
+    CHECK(reply.err == ErrCode::kOk) << "open " << top->path << " failed: " << ErrName(reply.err);
     const FsReply* fs = MsgAs<FsReply>(reply.payload);
     CHECK(fs != nullptr);
     result_.cap_ops++;  // extent-0 capability obtain
     OpenFile file;
     file.fid = fs->fid;
-    file.flags = flags;
+    file.flags = top->flags;
     file.extent_sel = reply.sel;
     file.mem_ep = AllocMemEp();
     file.extent_start = 0;
@@ -130,7 +131,7 @@ void TraceReplayer::DoOpen(const TraceOp& op) {
     file.handed = 1;
     EpId ep = file.mem_ep;
     CapSel sel = file.extent_sel;
-    files_[path] = file;
+    files_[top->path] = file;
     env_->Activate(sel, ep, [this](const SyscallReply& areply) {
       CHECK(areply.err == ErrCode::kOk);
       NextOp();
@@ -215,14 +216,14 @@ void TraceReplayer::DoMeta(const TraceOp& op, FsOp fs_op) {
   req->op = fs_op;
   req->path = op.path;
   bool unlink = fs_op == FsOp::kUnlink;
-  std::string path = op.path;
-  env_->Request(req, [this, unlink, path](const Message& msg) {
+  const TraceOp* top = &op;  // see DoOpen
+  env_->Request(req, [this, unlink, top](const Message& msg) {
     const FsReply* fs = msg.As<FsReply>();
     CHECK(fs != nullptr);
     if (unlink) {
       // Unlink-while-open revoked this file's handed capabilities.
       result_.cap_ops += fs->revoked;
-      auto it = files_.find(path);
+      auto it = files_.find(top->path);
       if (it != files_.end()) {
         it->second.handed = 0;
       }

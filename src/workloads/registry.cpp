@@ -217,7 +217,7 @@ WorkloadInvocation ParseWorkloadCli(const std::vector<std::string>& args) {
   std::vector<std::string> rest;
   bool list = false;
   for (const std::string& arg : args) {
-    if (arg == "--list") {
+    if (arg == "--list" || arg == "--help" || arg == "-h") {
       list = true;
     } else if (!arg.empty() && arg[0] != '-') {
       selections.push_back(arg);
@@ -366,6 +366,7 @@ std::string FormatWorkloadList() {
     }
   }
   os << "global flags:\n";
+  os << "  --list, --help    print this catalogue and exit\n";
   os << "  --threads=N|auto  sharded parallel engine (1 = serial; results are\n";
   os << "                    bit-identical at any thread count)\n";
   os << "  --stats           print engine windows/handoffs/imbalance after the run\n";

@@ -126,7 +126,7 @@ struct WorkloadInvocation {
   bool ok = false;
   std::string error;          // set when !ok
   bool show_catalogue = false;  // error should be followed by the catalogue
-  bool list = false;            // --list given: print the catalogue, exit 0
+  bool list = false;            // --list/--help given: print the catalogue, exit 0
   const WorkloadSpec* spec = nullptr;
   WorkloadParams params;        // defaults merged, flag overrides applied
   bool stats = false;           // --stats: print engine counters

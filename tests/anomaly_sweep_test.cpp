@@ -79,11 +79,9 @@ TEST_P(KillSweep, OwnerDiesDuringObtain) {
   // memory capability whose owner subtree is gone.
   if (replied) {
     const VpeState* obtainer = rig.kernel_of_client(0)->FindVpe(rig.vpe(0));
-    obtainer->table.ForEach([&](CapSel sel, DdlKey key) {
-      Capability* cap = rig.kernel_of_client(0)->FindCap(key);
-      ASSERT_NE(cap, nullptr);
+    obtainer->table.ForEach([&](CapSel, const Capability* cap) {
+      ASSERT_EQ(rig.kernel_of_client(0)->FindCap(cap->key()), cap);
       EXPECT_NE(cap->type(), CapType::kMem) << "copy outlived the revoked owner";
-      (void)sel;
     });
   }
 }

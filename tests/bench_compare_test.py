@@ -37,9 +37,12 @@ class BenchCompareTest(unittest.TestCase):
         self._tmp.cleanup()
 
     def run_compare(self, *extra):
+        return self.run_compare_output(*extra)[0]
+
+    def run_compare_output(self, *extra):
         proc = subprocess.run([sys.executable, str(SCRIPT), str(self.base), str(self.new),
                                *extra], capture_output=True, text=True, check=False)
-        return proc.returncode
+        return proc.returncode, proc.stdout
 
     def modeled(self, base_time, new_time, base_counters=None, new_counters=None):
         write_bench(self.base, "BENCH_fig.json", {"BM_A": (base_time, base_counters or {})})
@@ -70,6 +73,23 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(self.run_compare("--allow-rebaselined", "BENCH_fig.json"), 0)
         self.modeled(100.0, 100.0)
         self.assertEqual(self.run_compare("--allow-rebaselined", "BENCH_fig.json"), 1)
+
+    def test_declared_rebaseline_lists_every_move(self):
+        # Moves far below the 1% real_time print threshold must still show.
+        write_bench(self.base, "BENCH_fig.json", {
+            "BM_A": (297.5925, {"hits": 0.0, "sent": 360.0}),
+            "BM_B": (100.0, {"hits": 7.0}),
+        })
+        write_bench(self.new, "BENCH_fig.json", {
+            "BM_A": (297.5925, {"hits": 105.0, "sent": 360.0}),
+            "BM_B": (100.001, {"hits": 7.0}),
+        })
+        code, out = self.run_compare_output("--allow-rebaselined", "BENCH_fig.json")
+        self.assertEqual(code, 0)
+        self.assertIn("BM_A: counter 'hits' 0.0 -> 105.0", out)
+        self.assertIn("BM_B: 100.0 -> 100.001 ns", out)
+        self.assertNotIn("'sent'", out)
+        self.assertNotIn("BM_B: counter", out)
 
     def test_wallclock_gate_is_one_sided_at_half(self):
         def wallclock(base_time, new_time):

@@ -5,8 +5,13 @@
 // and Pointless.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <cstdint>
+#include <set>
 #include <vector>
 
+#include "audit/cap_audit.h"
+#include "base/rng.h"
 #include "core/kernel.h"
 #include "tests/test_util.h"
 
@@ -35,6 +40,145 @@ TEST(ChildList, KeepsInsertionOrderInlineAndSpilled) {
   EXPECT_TRUE(list.empty());
   list.push_back(key(9));
   EXPECT_EQ(list[0], key(9));
+}
+
+// --- CapSpace: the kernel's DDL-key index ---
+
+DdlKey MemKey(uint64_t obj) { return DdlKey::Make(4, 4, CapType::kMem, obj); }
+
+// Keys whose top 12 hash bits agree, so they share one home slot at every
+// table size up to 4,096 slots: each insert lengthens the same probe run.
+// (Mirrors CapSpace's Fibonacci hash; if that changes these keys merely
+// stop colliding, and the growth test below still covers random runs.)
+std::vector<DdlKey> CollidingKeys(size_t n) {
+  std::vector<DdlKey> keys;
+  uint64_t want = MemKey(1).raw() * 0x9e3779b97f4a7c15ull >> 52;
+  for (uint64_t obj = 1; keys.size() < n; ++obj) {
+    if ((MemKey(obj).raw() * 0x9e3779b97f4a7c15ull >> 52) == want) {
+      keys.push_back(MemKey(obj));
+    }
+  }
+  return keys;
+}
+
+TEST(CapSpace, CreateFindErase) {
+  CapSpace space;
+  DdlKey key = MemKey(9);
+  Capability* cap = space.Create(key, CapType::kMem, 4, 2);
+  EXPECT_EQ(space.Find(key), cap);
+  EXPECT_EQ(cap->key(), key);
+  EXPECT_EQ(cap->sel(), 2u);
+  EXPECT_EQ(space.size(), 1u);
+  EXPECT_EQ(space.Find(MemKey(10)), nullptr);
+  EXPECT_EQ(space.Find(DdlKey()), nullptr);
+  space.Erase(key);
+  EXPECT_EQ(space.Find(key), nullptr);
+  EXPECT_EQ(space.size(), 0u);
+}
+
+TEST(CapSpace, EraseMidProbeChainKeepsTheRestFindable) {
+  std::vector<DdlKey> chain = CollidingKeys(5);
+  for (size_t victim = 0; victim < chain.size(); ++victim) {
+    CapSpace space;
+    std::vector<Capability*> caps;
+    for (DdlKey key : chain) {
+      caps.push_back(space.Create(key, CapType::kMem, 4, 1));
+    }
+    space.Erase(chain[victim]);
+    EXPECT_EQ(space.Find(chain[victim]), nullptr) << "victim " << victim;
+    for (size_t i = 0; i < chain.size(); ++i) {
+      if (i != victim) {
+        EXPECT_EQ(space.Find(chain[i]), caps[i]) << "victim " << victim << ", key " << i;
+      }
+    }
+    // The freed slot is reusable, and the re-created key is found again.
+    Capability* again = space.Create(chain[victim], CapType::kMem, 4, 1);
+    EXPECT_EQ(space.Find(chain[victim]), again);
+    EXPECT_EQ(space.size(), chain.size());
+  }
+}
+
+TEST(CapSpace, ChurnAcrossGrowthMatchesAReferenceSet) {
+  // Random object ids: sequential ones spread almost perfectly under
+  // Fibonacci hashing and would leave the probe runs short.
+  CapSpace space;
+  std::set<uint64_t> live;
+  std::vector<DdlKey> created;
+  Rng rng(17);
+  for (int step = 0; step < 20'000; ++step) {
+    bool create = live.empty() || rng.NextBelow(3) != 0;
+    if (create) {
+      DdlKey key = MemKey(1 + rng.NextBelow(uint64_t{1} << 27));
+      if (live.count(key.raw()) != 0) {
+        continue;
+      }
+      space.Create(key, CapType::kMem, 4, static_cast<CapSel>(step));
+      live.insert(key.raw());
+      created.push_back(key);
+    } else {
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.NextBelow(live.size())));
+      space.Erase(DdlKey(*it));
+      live.erase(it);
+    }
+    ASSERT_EQ(space.size(), live.size());
+  }
+  for (DdlKey key : created) {
+    Capability* cap = space.Find(key);
+    ASSERT_EQ(cap != nullptr, live.count(key.raw()) != 0) << "key " << key.raw();
+    if (cap != nullptr) {
+      EXPECT_EQ(cap->key(), key);
+    }
+  }
+  size_t visited = 0;
+  space.ForEach([&](const Capability* cap) {
+    EXPECT_EQ(live.count(cap->key().raw()), 1u);
+    ++visited;
+  });
+  EXPECT_EQ(visited, live.size());
+}
+
+TEST(CapSpace, PointersSurviveGrowth) {
+  CapSpace space;
+  Capability* first = space.Create(MemKey(1), CapType::kMem, 4, 7);
+  first->AddChild(MemKey(2));
+  for (uint64_t obj = 100; obj < 5'100; ++obj) {
+    space.Create(MemKey(obj), CapType::kMem, 4, 1);
+  }
+  EXPECT_EQ(space.Find(MemKey(1)), first);
+  EXPECT_EQ(first->sel(), 7u);
+  ASSERT_EQ(first->children().size(), 1u);
+  EXPECT_EQ(first->children()[0], MemKey(2));
+}
+
+TEST(CapSpace, DuplicateCreateAndUnknownEraseDie) {
+  CapSpace space;
+  DdlKey key = MemKey(9);
+  space.Create(key, CapType::kMem, 4, 2);
+  EXPECT_DEATH(space.Create(key, CapType::kMem, 4, 3), "duplicate");
+  EXPECT_DEATH(space.Erase(MemKey(10)), "unknown");
+}
+
+TEST(CapAudit, I1CatchesASelectorSlotPointingAtACopy) {
+  ClientRig rig = MakeRig(1, 1);
+  CapSel sel = rig.Grant(0);
+  Kernel* kernel = rig.kernel_of_client(0);
+  ASSERT_TRUE(AuditPlatform(rig.p()).ok());
+  // Same key, holder and selector, but not the record the capability space
+  // holds: the slot must point at the very object, not an equal one.
+  Capability* real = kernel->CapOf(rig.vpe(0), sel);
+  ASSERT_NE(real, nullptr);
+  Capability copy(*real);
+  auto* vpe = const_cast<VpeState*>(kernel->FindVpe(rig.vpe(0)));
+  vpe->table.Set(sel, &copy);
+  AuditReport report = AuditPlatform(rig.p());
+  size_t i1 = 0;
+  for (const AuditViolation& v : report.violations) {
+    i1 += v.invariant == "I1" && v.key == real->key();
+  }
+  EXPECT_EQ(i1, 2u) << report.ToString();  // the selector side and the holder side
+  vpe->table.Set(sel, real);
+  EXPECT_TRUE(AuditPlatform(rig.p()).ok());
 }
 
 TEST(Obtain, GroupInternal) {
@@ -276,12 +420,10 @@ TEST(Anomaly, InvalidDelegatePrevented) {
   // it were inserted, the kill's recursive revoke must have removed it.
   const VpeState* receiver = k1->FindVpe(rig.vpe(1));
   ASSERT_NE(receiver, nullptr);
-  receiver->table.ForEach([&](CapSel rsel, DdlKey key) {
-    Capability* cap = k1->FindCap(key);
-    ASSERT_NE(cap, nullptr);
+  receiver->table.ForEach([&](CapSel, const Capability* cap) {
+    ASSERT_EQ(k1->FindCap(cap->key()), cap);
     EXPECT_NE(cap->type(), CapType::kMem)
         << "receiver holds a delegated capability that outlived the delegator";
-    (void)rsel;
   });
 }
 

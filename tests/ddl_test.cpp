@@ -164,24 +164,6 @@ TEST(Capability, MarkIsSticky) {
   EXPECT_EQ(cap.task(), &task);
 }
 
-TEST(CapSpace, CreateFindErase) {
-  CapSpace space;
-  DdlKey key = DdlKey::Make(4, 4, CapType::kMem, 9);
-  Capability* cap = space.Create(key, CapType::kMem, 4, 2);
-  EXPECT_EQ(space.Find(key), cap);
-  EXPECT_EQ(space.size(), 1u);
-  space.Erase(key);
-  EXPECT_EQ(space.Find(key), nullptr);
-  EXPECT_EQ(space.size(), 0u);
-}
-
-TEST(CapSpace, DuplicateKeyDies) {
-  CapSpace space;
-  DdlKey key = DdlKey::Make(4, 4, CapType::kMem, 9);
-  space.Create(key, CapType::kMem, 4, 2);
-  EXPECT_DEATH(space.Create(key, CapType::kMem, 4, 3), "duplicate");
-}
-
 TEST(DdlCache, SecondLookupUnderSameEpochHits) {
   DdlCache cache;
   DdlKey key = DdlKey::Make(3, 3, CapType::kMem, 7);

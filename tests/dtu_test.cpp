@@ -173,6 +173,23 @@ TEST_F(DtuTest, MemoryAccessLatencyScalesWithSize) {
   EXPECT_GT(large - base, small);
 }
 
+TEST_F(DtuTest, RvalueHandlerTakesTheOnlyBodyReference) {
+  // The DTU hands the delivered message over: a handler that keeps it owns
+  // the body alone when the sender kept no reference.
+  Message kept;
+  long use_count = 0;
+  b_->ConfigureRecv(3, 4, [&](EpId, Message&& msg) {
+    kept = std::move(msg);
+    use_count = kept.body.use_count();
+  });
+  a_->ConfigureSend(0, 1, 3, 1);
+  EXPECT_TRUE(a_->Send(0, std::make_shared<Payload>(7)).ok());
+  sim_.RunUntilIdle();
+  EXPECT_EQ(use_count, 1);
+  ASSERT_NE(kept.As<Payload>(), nullptr);
+  EXPECT_EQ(kept.As<Payload>()->value, 7);
+}
+
 TEST_F(DtuTest, SendOnUnconfiguredEpFails) {
   EXPECT_EQ(a_->Send(0, std::make_shared<Payload>(1)).code(), ErrCode::kInvalidArgs);
   EXPECT_EQ(a_->stats().sends_denied, 1u);

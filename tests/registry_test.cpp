@@ -115,6 +115,16 @@ TEST(Registry, GlobalFlagsParse) {
   EXPECT_TRUE(Parse({"--list"}).list);
 }
 
+TEST(Registry, HelpPrintsTheCatalogue) {
+  // --help is a request for usage, never a parameter of the default workload.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--help"}, {"-h"}, {"postmark", "--help"}}) {
+    WorkloadInvocation inv = Parse(args);
+    ASSERT_TRUE(inv.ok) << inv.error;
+    EXPECT_TRUE(inv.list);
+  }
+}
+
 // --- Registry surface ---
 
 TEST(Registry, CatalogueListsEveryRegisteredWorkload) {

@@ -31,7 +31,8 @@ fail the gate — commit a refreshed baseline to cover them.
 An *intentional* rebaseline (a timing-model change that legitimately moves
 a file's numbers) must be declared explicitly: `--allow-rebaselined FILE`
 exempts that file from the regression and counter-identity checks but still
-requires it to exist with the same benchmark set, and prints what moved.
+requires it to exist with the same benchmark set, and prints every time and
+counter that moved in it, old -> new.
 An allow-listed file that did not actually change is an error — a stale
 allow-list must not linger and silently waive a future regression.
 """
@@ -158,11 +159,13 @@ def main():
                     failures.append(
                         f"{base_path.name}: '{name}' {base_time:.1f} -> {new_time:.1f} ns "
                         f"({(ratio - 1.0) * 100.0:+.1f}%)")
-                if abs(ratio - 1.0) > COUNTER_RTOL:
-                    rebaseline_moved = True
-                if marker or abs(ratio - 1.0) > 0.01:
+                time_moved = abs(ratio - 1.0) > COUNTER_RTOL
+                rebaseline_moved |= time_moved
+                # A declared rebaseline lists every time it moved, so the
+                # gate output shows what the rebaseline changed.
+                if marker or abs(ratio - 1.0) > 0.01 or (rebaselined and time_moved):
                     note = marker if marker else ("  (rebaselined)" if rebaselined else "")
-                    print(f"{base_path.name}: {name}: {base_time:.1f} -> {new_time:.1f} ns "
+                    print(f"{base_path.name}: {name}: {base_time!r} -> {new_time!r} ns "
                           f"({(ratio - 1.0) * 100.0:+.1f}%){note}")
             if args.wallclock:
                 continue
@@ -177,7 +180,10 @@ def main():
                 b, n = base_fields[field], new_fields[field]
                 if abs(n - b) > COUNTER_RTOL * max(1.0, abs(b)):
                     rebaseline_moved = True
-                    if not rebaselined:
+                    if rebaselined:
+                        print(f"{base_path.name}: {name}: counter '{field}' {b!r} -> {n!r}"
+                              f"  (rebaselined)")
+                    else:
                         failures.append(
                             f"{base_path.name}: '{name}' counter '{field}' changed: "
                             f"{b!r} -> {n!r}  <-- MODELED DRIFT")
