@@ -61,6 +61,15 @@ FsService::Session* FsService::SessionOf(uint64_t id) {
   return id < sessions_.size() ? sessions_[id].get() : nullptr;
 }
 
+FsService::OpenFile* FsService::Session::FileOf(uint64_t fid) {
+  for (OpenFile& file : files) {
+    if (file.fid == fid) {
+      return &file;
+    }
+  }
+  return nullptr;
+}
+
 // ---------------------------------------------------------------------------
 // Kernel exchange-asks
 // ---------------------------------------------------------------------------
@@ -174,7 +183,7 @@ void FsService::HandleOpen(Session* session, const FsRequest& req) {
   // once derived. The client learns the fid only from this ask's answer,
   // so nothing can reach the entry in between.
   uint64_t fid = next_fid_++;
-  OpenFile& file = session->files[fid];
+  OpenFile& file = session->files.emplace_back();
   file.path = req.path;
   file.fid = fid;
   file.flags = req.flags;
@@ -185,9 +194,9 @@ void FsService::HandleOpen(Session* session, const FsRequest& req) {
     DeriveExtent(inode, 0, write, [this, fid, size, session_id](CapSel sel, uint64_t) {
       Session* live_session = SessionOf(session_id);
       CHECK(live_session != nullptr);
-      auto fit = live_session->files.find(fid);
-      CHECK(fit != live_session->files.end());
-      fit->second.handed.push_back(sel);
+      OpenFile* live_file = live_session->FileOf(fid);
+      CHECK(live_file != nullptr);
+      live_file->handed.push_back(sel);
       auto fs_reply = NewMsg<FsReply>();
       fs_reply->err = ErrCode::kOk;
       fs_reply->fid = fid;
@@ -202,14 +211,13 @@ void FsService::HandleOpen(Session* session, const FsRequest& req) {
 }
 
 void FsService::HandleNextExtent(Session* session, const FsRequest& req) {
-  auto fit = session->files.find(req.fid);
-  if (fit == session->files.end()) {
+  OpenFile* file = session->FileOf(req.fid);
+  if (file == nullptr) {
     AskReply r;
     r.err = ErrCode::kInvalidArgs;
     AnswerAsk(std::move(r));
     return;
   }
-  OpenFile* file = &fit->second;
   Inode* inode = image_.LookupMutable(file->path);
   if (inode == nullptr) {
     AskReply r;
@@ -225,9 +233,9 @@ void FsService::HandleNextExtent(Session* session, const FsRequest& req) {
     DeriveExtent(inode, offset, write, [this, fid, session_id](CapSel sel, uint64_t extent_len) {
       Session* live_session = SessionOf(session_id);
       CHECK(live_session != nullptr);
-      auto live_fit = live_session->files.find(fid);
-      CHECK(live_fit != live_session->files.end());
-      live_fit->second.handed.push_back(sel);
+      OpenFile* live_file = live_session->FileOf(fid);
+      CHECK(live_file != nullptr);
+      live_file->handed.push_back(sel);
       auto fs_reply = NewMsg<FsReply>();
       fs_reply->err = ErrCode::kOk;
       fs_reply->fid = fid;
@@ -312,13 +320,13 @@ void FsService::RevokeNext() {
 }
 
 void FsService::MetaClose(Session* session, const FsRequest& req, const Message& msg) {
-  auto fit = session->files.find(req.fid);
-  if (fit == session->files.end()) {
+  OpenFile* file = session->FileOf(req.fid);
+  if (file == nullptr) {
     env_->Compute(t_.svc_close, [this, msg] { ReplyMeta(msg, ErrCode::kInvalidArgs); });
     return;
   }
-  SelList handed = std::move(fit->second.handed);
-  session->files.erase(fit);
+  SelList handed = std::move(file->handed);
+  session->files.erase(session->files.begin() + (file - session->files.data()));
   fs_stats_.closes++;
   uint32_t count = static_cast<uint32_t>(handed.size());
   env_->Compute(t_.svc_close, [this, handed = std::move(handed), msg, count]() mutable {
@@ -358,8 +366,7 @@ void FsService::MetaUnlink(Session* session, const FsRequest& req, const Message
   // capabilities are revoked immediately (the SQLite journal pattern:
   // unlink-while-open).
   SelList handed;
-  for (auto& [fid, file] : session->files) {
-    (void)fid;
+  for (OpenFile& file : session->files) {
     if (file.path == req.path) {
       handed.insert(handed.end(), file.handed.begin(), file.handed.end());
       file.handed.clear();

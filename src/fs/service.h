@@ -69,7 +69,10 @@ class FsService : public Program {
   struct Session {
     uint64_t id = 0;
     VpeId client = kInvalidVpe;
-    PooledMap<uint64_t, OpenFile> files;  // keyed by fid
+    // In fid order: fids only grow, so opens append. A session holds a few
+    // files at most (a client has 8 memory endpoints), so a scan finds one.
+    std::vector<OpenFile> files;
+    OpenFile* FileOf(uint64_t fid);
   };
 
   // Asks park their reply functor in ask_reply_; the handlers answer

@@ -60,9 +60,9 @@ void TraceReplayer::NextOp() {
       DoIo(op, /*write=*/true);
       return;
     case TraceOpKind::kSeek: {
-      auto it = files_.find(op.path);
-      CHECK(it != files_.end()) << "seek on closed file " << op.path;
-      it->second.cursor = op.offset;
+      OpenFile* file = FileOf(op.path);
+      CHECK(file != nullptr) << "seek on closed file " << op.path;
+      file->cursor = op.offset;
       NextOp();
       return;
     }
@@ -87,28 +87,33 @@ void TraceReplayer::NextOp() {
   }
 }
 
-EpId TraceReplayer::AllocMemEp() {
+TraceReplayer::OpenFile* TraceReplayer::FileOf(std::string_view path) {
+  for (uint32_t i = 0; i < user_ep::kNumMemEps; ++i) {
+    if ((mem_eps_in_use_ & (1u << i)) != 0 && files_[i].path == path) {
+      return &files_[i];
+    }
+  }
+  return nullptr;
+}
+
+TraceReplayer::OpenFile* TraceReplayer::AllocFile() {
   // A PE has 8 memory endpoints (user_ep::kMem0..+7); each open file binds
   // one. Applications therefore keep at most 8 files' data mapped at once —
   // all traced workloads stay well below that.
   for (uint32_t i = 0; i < user_ep::kNumMemEps; ++i) {
     if ((mem_eps_in_use_ & (1u << i)) == 0) {
       mem_eps_in_use_ |= (1u << i);
-      return user_ep::kMem0 + i;
+      files_[i] = OpenFile();
+      files_[i].mem_ep = user_ep::kMem0 + i;
+      return &files_[i];
     }
   }
   CHECK(false) << "VPE " << pe_->node() << " has more than 8 files with active extents";
-  return 0;
-}
-
-void TraceReplayer::FreeMemEp(EpId ep) {
-  uint32_t i = ep - user_ep::kMem0;
-  CHECK_LT(i, user_ep::kNumMemEps);
-  mem_eps_in_use_ &= ~(1u << i);
+  return nullptr;
 }
 
 void TraceReplayer::DoOpen(const TraceOp& op) {
-  CHECK(files_.count(op.path) == 0) << "double open of " << op.path;
+  CHECK(FileOf(op.path) == nullptr) << "double open of " << op.path;
   auto req = NewMsg<FsRequest>();
   req->op = FsOp::kOpen;
   req->path = op.path;
@@ -121,18 +126,14 @@ void TraceReplayer::DoOpen(const TraceOp& op) {
     const FsReply* fs = MsgAs<FsReply>(reply.payload);
     CHECK(fs != nullptr);
     result_.cap_ops++;  // extent-0 capability obtain
-    OpenFile file;
-    file.fid = fs->fid;
-    file.flags = top->flags;
-    file.extent_sel = reply.sel;
-    file.mem_ep = AllocMemEp();
-    file.extent_start = 0;
-    file.extent_len = reply.cap.mem_size;
-    file.handed = 1;
-    EpId ep = file.mem_ep;
-    CapSel sel = file.extent_sel;
-    files_[top->path] = file;
-    env_->Activate(sel, ep, [this](const SyscallReply& areply) {
+    OpenFile* file = AllocFile();
+    file->path = top->path;
+    file->fid = fs->fid;
+    file->flags = top->flags;
+    file->extent_sel = reply.sel;
+    file->extent_start = 0;
+    file->extent_len = reply.cap.mem_size;
+    env_->Activate(file->extent_sel, file->mem_ep, [this](const SyscallReply& areply) {
       CHECK(areply.err == ErrCode::kOk);
       NextOp();
     });
@@ -151,7 +152,6 @@ void TraceReplayer::FetchExtent(OpenFile* file, uint64_t offset, InlineFn then) 
     file->extent_sel = reply.sel;
     file->extent_start = offset / kFsExtentBytes * kFsExtentBytes;
     file->extent_len = reply.cap.mem_size;
-    file->handed++;
     env_->Activate(file->extent_sel, file->mem_ep, [this](const SyscallReply& areply) {
       CHECK(areply.err == ErrCode::kOk);
       InlineFn fetched = std::move(fetch_then_);
@@ -161,9 +161,9 @@ void TraceReplayer::FetchExtent(OpenFile* file, uint64_t offset, InlineFn then) 
 }
 
 void TraceReplayer::DoIo(const TraceOp& op, bool write) {
-  auto it = files_.find(op.path);
-  CHECK(it != files_.end()) << "I/O on closed file " << op.path;
-  IoChunk(&it->second, write, op.bytes);
+  OpenFile* file = FileOf(op.path);
+  CHECK(file != nullptr) << "I/O on closed file " << op.path;
+  IoChunk(file, write, op.bytes);
 }
 
 void TraceReplayer::IoChunk(OpenFile* file, bool write, uint64_t remaining) {
@@ -194,11 +194,10 @@ void TraceReplayer::IoChunk(OpenFile* file, bool write, uint64_t remaining) {
 }
 
 void TraceReplayer::DoClose(const TraceOp& op) {
-  auto it = files_.find(op.path);
-  CHECK(it != files_.end()) << "close of unopened file " << op.path;
-  uint64_t fid = it->second.fid;
-  FreeMemEp(it->second.mem_ep);
-  files_.erase(it);
+  OpenFile* file = FileOf(op.path);
+  CHECK(file != nullptr) << "close of unopened file " << op.path;
+  uint64_t fid = file->fid;
+  mem_eps_in_use_ &= ~(1u << (file->mem_ep - user_ep::kMem0));
   auto req = NewMsg<FsRequest>();
   req->op = FsOp::kClose;
   req->fid = fid;
@@ -216,17 +215,12 @@ void TraceReplayer::DoMeta(const TraceOp& op, FsOp fs_op) {
   req->op = fs_op;
   req->path = op.path;
   bool unlink = fs_op == FsOp::kUnlink;
-  const TraceOp* top = &op;  // see DoOpen
-  env_->Request(req, [this, unlink, top](const Message& msg) {
+  env_->Request(req, [this, unlink](const Message& msg) {
     const FsReply* fs = msg.As<FsReply>();
     CHECK(fs != nullptr);
     if (unlink) {
       // Unlink-while-open revoked this file's handed capabilities.
       result_.cap_ops += fs->revoked;
-      auto it = files_.find(top->path);
-      if (it != files_.end()) {
-        it->second.handed = 0;
-      }
     }
     NextOp();
   });

@@ -7,10 +7,11 @@
 #ifndef SEMPEROS_TRACE_REPLAYER_H_
 #define SEMPEROS_TRACE_REPLAYER_H_
 
+#include <array>
 #include <memory>
 #include <string>
+#include <string_view>
 
-#include "base/pool_alloc.h"
 #include "core/timing.h"
 #include "core/userlib.h"
 #include "fs/protocol.h"
@@ -42,6 +43,7 @@ class TraceReplayer : public Program {
 
  private:
   struct OpenFile {
+    std::string_view path;  // the opening trace op's path (trace_ is immutable)
     uint64_t fid = 0;
     uint32_t flags = 0;
     CapSel extent_sel = kInvalidSel;
@@ -49,11 +51,12 @@ class TraceReplayer : public Program {
     uint64_t extent_start = 0;
     uint64_t extent_len = 0;
     uint64_t cursor = 0;
-    uint32_t handed = 0;  // extent capabilities obtained for this file
   };
 
-  EpId AllocMemEp();
-  void FreeMemEp(EpId ep);
+  // The open file named `path`, or null.
+  OpenFile* FileOf(std::string_view path);
+  // Binds a free memory endpoint; its slot in files_ holds the file.
+  OpenFile* AllocFile();
   void NextOp();
   void DoOpen(const TraceOp& op);
   void DoIo(const TraceOp& op, bool write);
@@ -72,7 +75,8 @@ class TraceReplayer : public Program {
 
   std::unique_ptr<UserEnv> env_;
   CapSel session_sel_ = kInvalidSel;
-  PooledMap<std::string, OpenFile> files_;
+  // Open files by memory endpoint: files_[i] binds user_ep::kMem0 + i.
+  std::array<OpenFile, user_ep::kNumMemEps> files_;
   size_t op_index_ = 0;
   uint8_t mem_eps_in_use_ = 0;  // bitmap over the 8 memory endpoints
   Result result_;

@@ -2,6 +2,12 @@
 // system (paper §2.2, §5.3.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "fs/fs_image.h"
 #include "fs/service.h"
 #include "system/experiment.h"
@@ -88,6 +94,259 @@ TEST(FsImage, CreateAfterUnlinkWorks) {
   EXPECT_TRUE(image.Unlink("/f"));
   image.AddFile("/f", 20);
   EXPECT_EQ(image.Lookup("/f")->size, 20u);
+}
+
+TEST(FsImage, CopiesOfAFrozenImageDivergeIndependently) {
+  FsImage tmpl;
+  tmpl.AddDir("/d");
+  tmpl.AddDir("/d/sub");
+  tmpl.AddFile("/d/a", 10);
+  tmpl.AddFile("/d/b", 20);
+  tmpl.Freeze();
+  FsImage x = tmpl;
+  FsImage y = tmpl;
+  ASSERT_EQ(tmpl.inode_count(), 5u);  // /, /d, /d/sub, /d/a, /d/b
+
+  // Create: each copy numbers and places its new inodes like a deep copy.
+  const Inode* xc = x.AddFile("/d/c", 5);
+  const Inode* yz = y.AddFile("/d/sub/z", 5);
+  EXPECT_EQ(xc->ino, yz->ino);
+  EXPECT_EQ(xc->offset, yz->offset);
+  EXPECT_EQ(y.Lookup("/d/c"), nullptr);
+  EXPECT_EQ(tmpl.Lookup("/d/c"), nullptr);
+  EXPECT_EQ(x.Lookup("/d/sub/z"), nullptr);
+
+  // Grow promotes the base inode into y's overlay; x and the template keep
+  // the original.
+  Inode* ya = y.LookupMutable("/d/a");
+  ASSERT_NE(ya, nullptr);
+  y.Grow(ya, 3 * MiB);
+  EXPECT_EQ(y.Lookup("/d/a"), ya);
+  EXPECT_EQ(y.Lookup("/d/a")->size, 3 * MiB);
+  EXPECT_EQ(x.Lookup("/d/a")->size, 10u);
+  EXPECT_EQ(tmpl.Lookup("/d/a")->size, 10u);
+  EXPECT_GT(y.bytes_used(), x.bytes_used());
+
+  // Unlink of a base entry hides it in that copy only.
+  EXPECT_TRUE(x.Unlink("/d/b"));
+  EXPECT_EQ(x.Lookup("/d/b"), nullptr);
+  EXPECT_FALSE(x.Unlink("/d/b"));
+  EXPECT_NE(y.Lookup("/d/b"), nullptr);
+  EXPECT_NE(tmpl.Lookup("/d/b"), nullptr);
+
+  // Unlink of a promoted entry hides the base original too.
+  EXPECT_TRUE(y.Unlink("/d/a"));
+  EXPECT_EQ(y.Lookup("/d/a"), nullptr);
+  EXPECT_EQ(y.LookupMutable("/d/a"), nullptr);
+  EXPECT_NE(x.Lookup("/d/a"), nullptr);
+
+  // Re-create after unlink: a fresh inode, the template's stays.
+  const Inode* xb = x.AddFile("/d/b", 7);
+  EXPECT_EQ(x.Lookup("/d/b"), xb);
+  EXPECT_EQ(xb->size, 7u);
+  EXPECT_NE(xb->ino, tmpl.Lookup("/d/b")->ino);
+  EXPECT_EQ(tmpl.Lookup("/d/b")->size, 20u);
+
+  // Directory listings and inode counts stay exact per copy.
+  EXPECT_EQ(tmpl.CountEntries("/d"), 3u);  // sub, a, b
+  EXPECT_EQ(x.CountEntries("/d"), 4u);     // sub, a, b (re-created), c
+  EXPECT_EQ(y.CountEntries("/d"), 2u);     // sub, b
+  EXPECT_EQ(y.CountEntries("/d/sub"), 1u);
+  EXPECT_EQ(x.CountEntries("/d/sub"), 0u);
+  EXPECT_EQ(x.CountEntries("/"), 1u);
+  EXPECT_EQ(tmpl.inode_count(), 5u);
+  EXPECT_EQ(x.inode_count(), 6u);
+  EXPECT_EQ(y.inode_count(), 5u);
+
+  // A copy of a copy, and a re-frozen copy, keep all of that.
+  FsImage z = x;
+  EXPECT_TRUE(z.Unlink("/d/c"));
+  EXPECT_NE(x.Lookup("/d/c"), nullptr);
+  EXPECT_EQ(z.CountEntries("/d"), 3u);
+  x.Freeze();
+  EXPECT_EQ(x.Lookup("/d/b")->size, 7u);
+  EXPECT_EQ(x.CountEntries("/d"), 4u);
+  EXPECT_EQ(x.inode_count(), 6u);
+  EXPECT_EQ(z.Lookup("/d/c"), nullptr);
+  EXPECT_EQ(y.Lookup("/d/a"), nullptr);
+  EXPECT_EQ(tmpl.Lookup("/d/a")->size, 10u);
+}
+
+TEST(FsImage, RepeatedCreateUnlinkKeepsTheOverlayBounded) {
+  // The open-loop postmark request shape: every request creates, writes and
+  // unlinks the same delivery file, and other requests re-create files of
+  // the frozen base.
+  FsImage tmpl;
+  PopulatePostmarkRequestImage(&tmpl, 4);
+  tmpl.Freeze();
+  FsImage image = tmpl;
+  size_t warm = 0;  // after a few rounds: the erased entries' reuse has settled
+  for (int i = 0; i < 10'000; ++i) {
+    image.AddFile("/mbox/s1/tmp", 0);
+    image.Grow(image.LookupMutable("/mbox/s1/tmp"), 4 * KiB);
+    ASSERT_TRUE(image.Unlink("/mbox/s1/tmp"));
+    ASSERT_TRUE(image.Unlink("/mbox/s2/cur"));
+    image.AddFile("/mbox/s2/cur", 8 * KiB);
+    if (i == 9) {
+      warm = image.overlay_entries();
+    }
+  }
+  EXPECT_EQ(image.overlay_entries(), warm);
+  EXPECT_LE(warm, 4u);
+  EXPECT_EQ(image.inode_count(), tmpl.inode_count());
+  EXPECT_EQ(image.CountEntries("/mbox/s1"), 1u);
+  EXPECT_EQ(image.CountEntries("/mbox/s2"), 1u);
+}
+
+// Random AddFile/AddDir/Unlink/LookupMutable/Grow over a frozen template and
+// two copies, each checked against a std::map model whose directory
+// listing is the plain prefix scan.
+TEST(FsImage, ChurnMatchesAMapModel) {
+  struct ModelInode {
+    bool is_dir = false;
+    uint64_t size = 0;
+    uint64_t ino = 0;
+  };
+  struct Model {
+    std::map<std::string, ModelInode> inodes;
+    uint64_t next_ino = 1;
+    std::map<std::string, Inode*> held;  // LookupMutable results to re-check
+  };
+  const std::vector<std::string> dirs = {"/", "/a", "/b", "/a/x", "/a/y", "/b/z", "/b/z/w"};
+  std::vector<std::string> files;
+  for (const std::string& dir : dirs) {
+    for (int f = 0; f < 16; ++f) {
+      files.push_back((dir == "/" ? "" : dir) + "/f" + std::to_string(f));
+    }
+  }
+  std::vector<std::string> all_paths = dirs;
+  all_paths.insert(all_paths.end(), files.begin(), files.end());
+  auto parent_of = [](const std::string& path) {
+    size_t pos = path.find_last_of('/');
+    return pos == 0 ? std::string("/") : path.substr(0, pos);
+  };
+  auto listed = [](const Model& m, const std::string& dir) {
+    std::string prefix = dir == "/" ? "/" : dir + "/";
+    uint32_t n = 0;
+    for (const auto& [path, inode] : m.inodes) {
+      (void)inode;
+      n += path.size() > prefix.size() && path.compare(0, prefix.size(), prefix) == 0 &&
+           path.find('/', prefix.size()) == std::string::npos;
+    }
+    return n;
+  };
+
+  std::mt19937_64 rng(20240917);
+  auto pick = [&rng](const std::vector<std::string>& v) -> const std::string& {
+    return v[rng() % v.size()];
+  };
+  auto step = [&](FsImage& image, Model& m) {
+    switch (rng() % 6) {
+      case 0: {  // create a file
+        const std::string& path = pick(files);
+        if (m.inodes.count(path) == 0 && m.inodes.count(parent_of(path)) != 0) {
+          ASSERT_EQ(image.Lookup(path), nullptr) << path;
+          uint64_t size = rng() % (2 * MiB);
+          const Inode* inode = image.AddFile(path, size);
+          m.inodes[path] = ModelInode{false, size, m.next_ino++};
+          ASSERT_EQ(image.Lookup(path), inode);
+        }
+        return;
+      }
+      case 1: {  // create a directory (a no-op if it exists)
+        const std::string& path = pick(dirs);
+        if (m.inodes.count(parent_of(path)) != 0 || path == "/") {
+          image.AddDir(path);
+          if (m.inodes.count(path) == 0) {
+            m.inodes[path] = ModelInode{true, 0, m.next_ino++};
+          }
+        }
+        return;
+      }
+      case 2:
+      case 3: {  // unlink a file, or fail on a directory or a missing path
+        const std::string& path = rng() % 4 == 0 ? pick(dirs) : pick(files);
+        auto it = m.inodes.find(path);
+        bool expect = it != m.inodes.end() && !it->second.is_dir;
+        ASSERT_EQ(image.Unlink(path), expect) << path;
+        if (expect) {
+          m.inodes.erase(it);
+          m.held.erase(path);
+        }
+        return;
+      }
+      default: {  // mutable lookup, then grow a file
+        const std::string& path = pick(files);
+        Inode* inode = image.LookupMutable(path);
+        auto it = m.inodes.find(path);
+        ASSERT_EQ(inode != nullptr, it != m.inodes.end()) << path;
+        if (inode != nullptr) {
+          uint64_t new_size = inode->size + rng() % (3 * MiB);
+          image.Grow(inode, new_size);
+          it->second.size = std::max(it->second.size, new_size);
+          m.held[path] = inode;
+        }
+        return;
+      }
+    }
+  };
+  auto check = [&](FsImage& image, const Model& m) {
+    ASSERT_EQ(image.inode_count(), m.inodes.size());
+    for (const std::string& path : all_paths) {
+      const Inode* inode = image.Lookup(path);
+      auto it = m.inodes.find(path);
+      ASSERT_EQ(inode != nullptr, it != m.inodes.end()) << path;
+      if (inode != nullptr) {
+        EXPECT_EQ(inode->is_dir, it->second.is_dir) << path;
+        EXPECT_EQ(inode->size, it->second.size) << path;
+        EXPECT_EQ(inode->ino, it->second.ino) << path;
+      }
+    }
+    for (const std::string& dir : dirs) {
+      EXPECT_EQ(image.CountEntries(dir), listed(m, dir)) << dir;
+    }
+    // Held pointers survive index growth and later promotions.
+    for (const auto& [path, inode] : m.held) {
+      ASSERT_EQ(image.LookupMutable(path), inode) << path;
+    }
+  };
+
+  FsImage tmpl;
+  Model tmpl_model;
+  tmpl_model.inodes["/"] = ModelInode{true, 0, tmpl_model.next_ino++};
+  for (int i = 0; i < 2'000; ++i) {
+    step(tmpl, tmpl_model);
+  }
+  check(tmpl, tmpl_model);
+  tmpl.Freeze();
+  tmpl_model.held.clear();  // Freeze rebuilds the storage
+  std::vector<FsImage> images = {tmpl, tmpl, tmpl};
+  std::vector<Model> models = {tmpl_model, tmpl_model, tmpl_model};
+  for (int i = 1; i <= 20'000; ++i) {
+    size_t k = rng() % images.size();
+    step(images[k], models[k]);
+    if (HasFatalFailure()) {
+      return;
+    }
+    if (i == 8'000) {
+      images[2].Freeze();  // re-freeze a diverged copy
+      models[2].held.clear();
+    }
+    if (i == 12'000) {
+      images[0] = images[1];  // copy-assign over a diverged copy
+      models[0] = models[1];
+      models[0].held.clear();
+    }
+    if (i % 1'000 == 0) {
+      for (size_t j = 0; j < images.size(); ++j) {
+        check(images[j], models[j]);
+      }
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
+  check(tmpl, tmpl_model);  // the template never saw the copies' churn
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 """Resolves hostprof output (sampler.cpp, newcount.cpp) to source functions.
 
 Usage:
-    python3 tools/hostprof/resolve.py hostprof.<pid>.samples [...] [--top N]
+    python3 tools/hostprof/resolve.py hostprof.<pid>.samples [...] [--top N] [--under FRAME]
     python3 tools/hostprof/resolve.py hostprof.<pid>.new [...] [--top N]
 
 Several files of one kind (repeated runs) are resolved each against its own
@@ -16,7 +16,10 @@ with `addr2line -f -i -C`, so inlined frames appear too.
 For samples it prints the total, then self and inclusive shares per
 function: self is the innermost (inlined) function at the sampled program
 counter, inclusive counts every function on the frame-pointer chain once
-per sample. For operator new sites it prints the total, then calls and bytes
+per sample. --under FRAME keeps only the samples with a function whose name
+contains FRAME on their stack (say Platform::RunToCompletion, to leave out
+set-up and teardown); the shares are then of those samples. For operator
+new sites it prints the total, then calls and bytes
 per site, labelled by the innermost function outside the standard library
 with the allocating library frame after "via".
 """
@@ -139,13 +142,17 @@ def is_library(fn):
                            "__", "_M_")) or ".so" in fn)
 
 
-def report_samples(runs, top):
-    total = 0
+def report_samples(runs, top, under=None):
+    total = taken = 0
     self_c, incl_c = collections.Counter(), collections.Counter()
     for rows, res in runs:
         res.resolve([pc for row in rows for pc in row])
         total += len(rows)
         for row in rows:
+            if under is not None and not any(under in fn for pc in row
+                                             for fn, _ in res.names[pc]):
+                continue
+            taken += 1
             frames = res.names[row[0]]
             self_c[frames[0][0]] += 1
             seen = set()
@@ -154,15 +161,18 @@ def report_samples(runs, top):
                     if fn not in seen:
                         seen.add(fn)
                         incl_c[fn] += 1
-    print("samples: %d" % total)
-    if total == 0:
+    if under is None:
+        print("samples: %d" % total)
+    else:
+        print("samples: %d (under %s, of %d)" % (taken, under, total))
+    if taken == 0:
         return
     print("\n%-8s %6s  %s" % ("self", "share", "function"))
     for fn, n in self_c.most_common(top):
-        print("%-8d %5.1f%%  %s" % (n, 100.0 * n / total, short(fn)))
+        print("%-8d %5.1f%%  %s" % (n, 100.0 * n / taken, short(fn)))
     print("\n%-8s %6s  %s" % ("incl", "share", "function"))
     for fn, n in incl_c.most_common(top):
-        print("%-8d %5.1f%%  %s" % (n, 100.0 * n / total, short(fn)))
+        print("%-8d %5.1f%%  %s" % (n, 100.0 * n / taken, short(fn)))
 
 
 def report_new(runs, top):
@@ -193,6 +203,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("files", nargs="+")
     ap.add_argument("--top", type=int, default=30)
+    ap.add_argument("--under", metavar="FRAME",
+                    help="samples only: keep those with FRAME in a function name on the stack")
     args = ap.parse_args()
     kinds, runs = set(), []
     for path in args.files:
@@ -203,7 +215,7 @@ def main():
         sys.exit("hostprof: mixed file kinds %s" % sorted(kinds))
     kind = kinds.pop()
     if kind == "samples":
-        report_samples(runs, args.top)
+        report_samples(runs, args.top, args.under)
     elif kind == "new":
         report_new(runs, args.top)
     else:
